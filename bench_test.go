@@ -217,10 +217,9 @@ park:
 // whose dependencies change every edge, so activity skipping never
 // parks anything and the full armed set is evaluated each cycle.
 //
-// Compare ns/op across /fused (one fused program per edge, contiguous
-// ranges over the worker pool), /per-group (PR 4's per-group delta
-// path: one snapshot + pool dispatch per group), and /exhaustive (no
-// delta, no fusion). Stop sequences are pinned bit-identical by
+// Compare ns/op across /fused (one fused program per edge), /per-group
+// (the per-group delta path: one member snapshot and one compiled
+// program per condition), and /exhaustive (no delta, no fusion). Stop sequences are pinned bit-identical by
 // TestFusedStopEquivalenceRISCV and the internal/core fused
 // differentials; this benchmark only reports cost. The fused shape
 // (conditions, CSE segments, shared reads, deduplicated operands) is
@@ -952,8 +951,9 @@ func BenchmarkReplayReverseStep(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEval measures the §3.2 parallel group evaluation on
-// a many-instance design where every instance hits the same line.
+// BenchmarkParallelEval measures the §3.2 parallel group evaluation,
+// emulated in order on the simulation goroutine, on a many-instance
+// design where every instance hits the same line.
 func BenchmarkParallelEval(b *testing.B) {
 	buildMany := func(n int) (*sim.Simulator, *core.Runtime, string, int) {
 		c := generator.NewCircuit("Top")

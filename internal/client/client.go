@@ -298,7 +298,10 @@ func (c *Client) Reconnect() error {
 	return c.connect()
 }
 
-// Close detaches.
+// Close detaches with a WebSocket close handshake. The server answers
+// only after it has dropped the session, so when Close returns this
+// session's control has already passed on and a Reconnect attaches as
+// a fresh peer.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	conn := c.conn
@@ -392,6 +395,8 @@ func (c *Client) readLoop(conn *ws.Conn, closed chan struct{}) {
 		}
 		c.mu.Unlock()
 		close(closed)
+		// Answer a server-initiated close (no-op after our own Close).
+		conn.Close()
 	}()
 	for {
 		op, raw, err := conn.ReadMessage()

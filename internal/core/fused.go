@@ -10,39 +10,23 @@ import (
 // program (expr.Fuse) covering each armed breakpoint condition and
 // watchpoint expression whose dependencies are verified and slotted;
 // at each forward, non-stepping clock edge the scheduler executes that
-// program once — shared CSE prelude on the simulation goroutine, the
-// per-condition segments partitioned into contiguous ranges across the
-// worker pool — and the group walk merely consumes per-condition
-// results, with no per-group locking, snapshotting or pool dispatch.
+// program once on the simulation goroutine — shared CSE prelude, then
+// every per-condition segment on one machine — and the group walk
+// merely consumes per-condition results, with no per-group locking or
+// snapshotting.
 //
-// PR 4's activity skip becomes a packed bitmap over fused condition
-// ids, published lock-free (an epoch-swapped double buffer behind an
-// atomic pointer) so pool workers read it without taking rt.mu.
-// Anything the fused fast path cannot prove — an unverified
-// dependency, a failed operand fetch, a poisoned shared segment —
-// falls back to the exact per-condition path (evalBP), so fused
-// scheduling is bit-identical to per-group evaluation; reverse
-// scheduling and stepping use the per-group path entirely.
-
-// fusedMask is one published skip bitmap: bit ci set means fused
-// condition ci is a provable miss this edge and the workers must not
-// re-evaluate it. Double-buffered and published via an atomic pointer;
-// the epoch counts publishes (diagnostics only).
-type fusedMask struct {
-	epoch uint64
-	bits  []uint64
-}
-
-// maskedBit reads one condition's bit from a published mask.
-func (m *fusedMask) maskedBit(ci int32) bool {
-	return m.bits[ci>>6]&(1<<(uint32(ci)&63)) != 0
-}
+// The activity skip becomes a packed bitmap over fused condition ids,
+// snapshotted before each run so the program skips parked conditions
+// and the group walk accounts them. Anything the fused fast path
+// cannot prove — an unverified dependency, a failed operand fetch, a
+// poisoned shared segment — falls back to the exact per-condition path
+// (evalBP), so fused scheduling is bit-identical to per-group
+// evaluation; reverse scheduling and stepping use the per-group path
+// entirely.
 
 // fusedState is the per-union-generation fused schedule: the compiled
 // program, its membership maps, and the per-edge execution buffers.
-// All fields are simulation-goroutine state except the buffers workers
-// are handed read-only (opsVals, shVals, ...) or write at disjoint
-// indexes (results, resOK).
+// All fields are simulation-goroutine state.
 type fusedState struct {
 	sched *expr.FusedSchedule
 
@@ -65,9 +49,11 @@ type fusedState struct {
 
 	// condSkip marks provable misses (breakpoint conditions only);
 	// parked counts the set flags so a fully-idle edge skips execution
-	// outright.
+	// outright. mask packs condSkip as it stood before the edge's run:
+	// bit ci set means condition ci was not re-evaluated this edge.
 	condSkip []bool
 	parked   int
+	mask     []uint64
 
 	// Per-edge execution buffers.
 	opsVals []eval.Value
@@ -76,22 +62,16 @@ type fusedState struct {
 	shOK    []bool
 	results []eval.Value
 	resOK   []bool
-
-	// machines are the per-chunk executors; chunk k runs the contiguous
-	// condition range [k*perChunk, (k+1)*perChunk). execChunk is the
-	// worker closure, built once per rebuild so dispatching it each edge
-	// does not allocate.
-	machines  []eval.FusedMachine
-	chunks    int
-	perChunk  int
-	execChunk func(k int)
+	machine eval.FusedMachine
 
 	valid bool
 	time  uint64
 }
 
-// fusedChunkMin is the smallest condition range worth a pool dispatch.
-const fusedChunkMin = 32
+// masked reports whether condition ci was skipped by this edge's run.
+func (fs *fusedState) masked(ci int32) bool {
+	return fs.mask[ci>>6]&(1<<(uint32(ci)&63)) != 0
+}
 
 // slotsFused reports whether a compiled program's dependencies are all
 // verified and slotted in the prefetch union — the fusability condition.
@@ -171,35 +151,13 @@ func (rt *Runtime) rebuildFused() {
 	fs.results = make([]eval.Value, n)
 	fs.resOK = make([]bool, n)
 	fs.condSkip = make([]bool, n)
+	fs.mask = make([]uint64, (n+63)/64)
 	fs.slotConds = make([][]int32, len(rt.depUnion))
 	for ci, clo := range sched.OpClosures {
 		for _, op := range clo {
 			s := sched.Slots[op]
 			fs.slotConds[s] = append(fs.slotConds[s], int32(ci))
 		}
-	}
-	fs.chunks = (n + fusedChunkMin - 1) / fusedChunkMin
-	if max := rt.pool.size + 1; fs.chunks > max {
-		fs.chunks = max
-	}
-	if fs.chunks < 1 {
-		fs.chunks = 1
-	}
-	fs.perChunk = (n + fs.chunks - 1) / fs.chunks
-	fs.machines = make([]eval.FusedMachine, fs.chunks)
-	fs.execChunk = func(k int) {
-		from := k * fs.perChunk
-		to := from + fs.perChunk
-		if to > n {
-			to = n
-		}
-		if from >= to {
-			return
-		}
-		// The skip set is read through the atomic publish, not rt.mu.
-		mask := rt.fusedSkip.Load()
-		fs.machines[k].ExecConds(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK,
-			from, to, mask.bits, fs.results, fs.resOK)
 	}
 	rt.fused = fs
 }
@@ -231,16 +189,15 @@ func (rt *Runtime) fusedReady(t uint64) *fusedState {
 }
 
 // runFused executes the whole fused schedule once: gather operands from
-// the prefetch cache, publish the skip bitmap, run the shared prelude,
-// then the condition segments across the worker pool in contiguous
-// ranges.
+// the prefetch cache, pack the skip bitmap, run the shared prelude, then
+// every unmasked condition segment.
 func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 	sched := fs.sched
 	if fs.parked == fs.watchBase && fs.watchBase == len(fs.resOK) {
 		// Every breakpoint condition is a parked provable miss and no
 		// watch rides the program: the idle edge needs no execution at
 		// all, only the mask for the group walk to consume.
-		rt.publishFusedMask(fs)
+		fs.packMask()
 		fs.valid, fs.time = true, t
 		return
 	}
@@ -248,9 +205,10 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 		fs.opsVals[k] = rt.prefetched[s]
 		fs.opsOK[k] = rt.prefetchOK[s]
 	}
-	rt.publishFusedMask(fs)
-	fs.machines[0].ExecShared(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK)
-	rt.pool.parallel(fs.chunks, fs.execChunk)
+	fs.packMask()
+	fs.machine.ExecShared(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK)
+	fs.machine.ExecConds(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK,
+		0, len(fs.resOK), fs.mask, fs.results, fs.resOK)
 	fs.valid, fs.time = true, t
 	// Account evaluated breakpoint conditions and park fresh provable
 	// misses: a condition that evaluated sound-and-false stays skipped
@@ -274,44 +232,28 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 	rt.statFusedRuns.Add(1)
 }
 
-// publishFusedMask packs the current skip flags into the inactive mask
-// buffer and publishes it with an atomic pointer swap. Workers of this
-// edge load the fresh pointer; a straggler holding the previous edge's
-// pointer (impossible once parallel() returned, but harmless) sees the
-// other, untouched buffer.
-func (rt *Runtime) publishFusedMask(fs *fusedState) {
-	words := (len(fs.resOK) + 63) / 64
-	buf := &rt.maskBufs[rt.maskFlip&1]
-	rt.maskFlip++
-	if cap(buf.bits) < words {
-		buf.bits = make([]uint64, words)
-	}
-	buf.bits = buf.bits[:words]
-	for i := range buf.bits {
-		buf.bits[i] = 0
-	}
+// packMask snapshots the skip flags into the bitmap the run and the
+// group walk read, before the run parks fresh misses.
+func (fs *fusedState) packMask() {
+	clear(fs.mask)
 	// Only breakpoint conditions are maskable; watch values always
 	// recompute (their own canSkip check lives in checkWatches).
 	for ci := 0; ci < fs.watchBase; ci++ {
 		if fs.condSkip[ci] {
-			buf.bits[ci>>6] |= 1 << (uint(ci) & 63)
+			fs.mask[ci>>6] |= 1 << (uint(ci) & 63)
 		}
 	}
-	rt.maskEpoch++
-	buf.epoch = rt.maskEpoch
-	rt.fusedSkip.Store(buf)
 }
 
 // fusedGroupEval consumes one group's fused results: masked conditions
 // are provable misses, sound results decide directly, poisoned results
 // and unfusable members fall back to the exact per-condition path.
 func (rt *Runtime) fusedGroupEval(fs *fusedState, gi int) []*insertedBP {
-	mask := rt.fusedSkip.Load()
 	var hits []*insertedBP
 	evaluated := 0
 	fallback := 0
 	for _, ci := range fs.groupConds[gi] {
-		if mask.maskedBit(ci) {
+		if fs.masked(ci) {
 			continue
 		}
 		evaluated++

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/expr"
@@ -15,104 +14,10 @@ import (
 // resolved to simulator paths. At each clock edge the scheduler makes
 // one batched backend read covering the union of every armed
 // condition's dependencies (vpi.ReadBatch), caches the values for the
-// cycle, and executes the compiled programs against the cache on a
-// persistent worker pool — replacing the seed's tree-walk + one
-// GetValue per signal per breakpoint + one goroutine spawned per group
-// member per edge.
-
-// workerPool is a fixed set of evaluation goroutines that lives for the
-// runtime's lifetime. The scheduler dispatches each breakpoint group's
-// members onto it (§3.2's parallel evaluation) without the per-edge
-// goroutine spawn cost.
-type workerPool struct {
-	// mu serializes job submission against close, so a Detach issued
-	// from a stop handler (or another goroutine) mid-edge can never
-	// race a send onto the closed channel; once closed, parallel
-	// degrades to inline execution.
-	mu      sync.Mutex
-	size    int
-	started bool
-	closed  bool
-	jobs    chan poolJob
-}
-
-type poolJob struct {
-	fn func(int)
-	i  int
-	wg *sync.WaitGroup
-}
-
-func newWorkerPool(n int) *workerPool {
-	if n < 1 {
-		n = 1
-	}
-	// Workers spawn lazily on the first multi-member group, so runtimes
-	// that never evaluate parallel groups (or are dropped without
-	// Detach) hold no goroutines.
-	return &workerPool{size: n, jobs: make(chan poolJob, 4*n)}
-}
-
-func (p *workerPool) worker() {
-	for j := range p.jobs {
-		j.fn(j.i)
-		j.wg.Done()
-	}
-}
-
-// parallel runs fn(0)..fn(n-1) across the pool plus the calling
-// goroutine and returns when every call has completed. Only the
-// simulation goroutine (the clock-edge callback) may call it.
-func (p *workerPool) parallel(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if n <= 2 {
-		// Small batches run inline: the channel round-trip plus WaitGroup
-		// wake-up costs more than a second condition evaluation, so
-		// two-member groups (the common pair-instance case) stay on the
-		// simulation goroutine.
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if !p.started {
-		p.started = true
-		for i := 0; i < p.size; i++ {
-			go p.worker()
-		}
-	}
-	wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		p.jobs <- poolJob{fn: fn, i: i, wg: &wg}
-	}
-	p.mu.Unlock()
-	fn(0)
-	wg.Wait()
-}
-
-// close shuts the workers down; idempotent. Workers drain any jobs
-// already submitted (closing the channel lets the range loops consume
-// the buffer first), and later parallel calls run inline.
-func (p *workerPool) close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		if p.started {
-			close(p.jobs)
-		}
-	}
-	p.mu.Unlock()
-}
+// cycle, and executes the compiled programs against the cache on the
+// simulation goroutine — replacing the seed's tree-walk + one GetValue
+// per signal per breakpoint + one goroutine spawned per group member
+// per edge.
 
 // resolveSourceName resolves a source-level identifier to a simulator
 // path using the same chain for breakpoint conditions and watchpoints:
@@ -445,17 +350,16 @@ func (rt *Runtime) fetchDep(paths []string, slots []int, i int) (eval.Value, err
 }
 
 // execCompiled gathers a program's operands (cache-first) into the
-// caller's scratch buffer and executes it on the caller's machine. It
+// runtime's scratch buffer and executes it on the runtime's machine. It
 // is the single evaluation path for breakpoint and watch conditions;
-// callers own machine/buf exclusively for the duration (each group
-// member is evaluated by exactly one pool worker per edge, watches run
-// on the simulation goroutine), so no locking is needed.
-func (rt *Runtime) execCompiled(prog *expr.Program, paths []string, slots []int, m *eval.Machine, buf *[]eval.Value) (eval.Value, error) {
+// every caller runs on the simulation goroutine, one evaluation at a
+// time, so the shared scratch needs no locking.
+func (rt *Runtime) execCompiled(prog *expr.Program, paths []string, slots []int) (eval.Value, error) {
 	n := len(prog.Deps)
-	if cap(*buf) < n {
-		*buf = make([]eval.Value, n)
+	if cap(rt.opbuf) < n {
+		rt.opbuf = make([]eval.Value, n)
 	}
-	ops := (*buf)[:n]
+	ops := rt.opbuf[:n]
 	for i := range ops {
 		v, err := rt.fetchDep(paths, slots, i)
 		if err != nil {
@@ -463,11 +367,5 @@ func (rt *Runtime) execCompiled(prog *expr.Program, paths []string, slots []int,
 		}
 		ops[i] = v
 	}
-	return prog.Exec(m, ops)
-}
-
-// execProg evaluates one of the breakpoint's compiled conditions with
-// its private scratch.
-func (ibp *insertedBP) execProg(rt *Runtime, prog *expr.Program, paths []string, slots []int) (eval.Value, error) {
-	return rt.execCompiled(prog, paths, slots, &ibp.machine, &ibp.opbuf)
+	return prog.Exec(&rt.machine, ops)
 }

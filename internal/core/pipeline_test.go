@@ -54,6 +54,25 @@ func TestCompiledMatchesTreeWalk(t *testing.T) {
 	}
 }
 
+// evalBPTree is the tree-walk reference implementation of evalBP,
+// the oracle the compiled pipeline is differentially tested against.
+func (rt *Runtime) evalBPTree(ibp *insertedBP) bool {
+	resolver := ibp.pathResolver(rt)
+	if ibp.enable != nil {
+		v, err := ibp.enable.Eval(resolver)
+		if err != nil || !v.IsTrue() {
+			return false
+		}
+	}
+	if ibp.cond != nil {
+		v, err := ibp.cond.Eval(resolver)
+		if err != nil || !v.IsTrue() {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCompiledBreakpointStops checks end-to-end stop behavior through
 // the batched scheduler: a conditional breakpoint fires exactly when
 // its condition holds.
@@ -143,8 +162,8 @@ func buildManyInstances(t *testing.T, n int) (*sim.Simulator, *Runtime) {
 }
 
 // TestWorkerPoolGroupEvaluation arms one breakpoint across many
-// instances and checks every member evaluates (on the persistent pool)
-// and stops as one multi-threaded event.
+// instances and checks every member evaluates (in order, on the
+// simulation goroutine) and stops as one multi-threaded event.
 func TestWorkerPoolGroupEvaluation(t *testing.T) {
 	const n = 16
 	s, rt := buildManyInstances(t, n)
@@ -166,8 +185,7 @@ func TestWorkerPoolGroupEvaluation(t *testing.T) {
 
 // TestDetachFromHandlerMidEdge: a handler that calls Detach directly
 // (instead of returning CmdDetach) and then continues must not crash
-// the scheduler — the closed worker pool degrades to inline
-// evaluation for the remainder of the edge.
+// the scheduler, and the detached runtime must not stop again.
 func TestDetachFromHandlerMidEdge(t *testing.T) {
 	s, rt := buildManyInstances(t, 8)
 	stops := 0

@@ -1,8 +1,9 @@
 // Package core implements the hgdb debugger runtime — the paper's
 // breakpoint emulation layer (§3.2, Figure 2): breakpoint insertion
 // against the symbol table, the Figure 2 scheduling loop executed
-// inside the simulator's clock-edge callback, parallel condition
-// evaluation of breakpoint groups, source-level stack frame
+// inside the simulator's clock-edge callback, condition evaluation of
+// breakpoint groups (§3.2's parallel evaluation, emulated sequentially
+// on the simulation goroutine), source-level stack frame
 // reconstruction with structured variables (§3.4), concurrent
 // instances presented as threads (Figure 4), watchpoints, and
 // intra-cycle plus (on replay backends) full reverse debugging (§3.2).
@@ -17,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -231,14 +231,10 @@ type insertedBP struct {
 	// the whole batch, and are probed per evaluation instead.
 	enableVerified []bool
 	condVerified   []bool
-	// Per-member evaluation scratch. A member is evaluated by exactly
-	// one worker per edge, so no locking is needed.
-	machine eval.Machine
-	opbuf   []eval.Value
 }
 
 // group is a set of breakpoints sharing one source statement; the
-// scheduler evaluates a group's members (instances) in parallel.
+// scheduler evaluates a group's members (instances) together.
 type group struct {
 	file    string
 	line    int
@@ -282,11 +278,6 @@ type Runtime struct {
 	stopCount  uint64
 	allGroups  []*group // all symtab statements, for stepping
 	cycleGuard bool
-
-	// pool evaluates breakpoint group members; it lives for the
-	// runtime's lifetime (workers park between edges) instead of
-	// spawning goroutines per edge.
-	pool *workerPool
 
 	// queries holds pending debugger queries awaiting a drain point
 	// with stable simulation state; execMu serializes every job's
@@ -349,20 +340,18 @@ type Runtime struct {
 	statEvaluated atomic.Uint64 // groups evaluated with at least one member
 	statPartial   atomic.Uint64 // cache refreshes bounded by a delta report
 
-	// evaluateGroup scratch (simulation goroutine only).
+	// Condition evaluation scratch (simulation goroutine only): the
+	// group member snapshot, and the one machine and operand buffer
+	// every compiled breakpoint and watch program executes on.
 	memberBuf []*insertedBP
-	resultBuf []bool
+	machine   eval.Machine
+	opbuf     []eval.Value
 
 	// Fused schedule compilation state (see fused.go): the whole-schedule
-	// fused program rebuilt with the dependency union, its per-edge skip
-	// bitmap published lock-free through fusedSkip (double-buffered in
-	// maskBufs), and the SetFusedEval escape hatch.
+	// fused program rebuilt with the dependency union, and the
+	// SetFusedEval escape hatch.
 	fused         *fusedState
 	fusedOff      atomic.Bool
-	fusedSkip     atomic.Pointer[fusedMask]
-	maskBufs      [2]fusedMask
-	maskFlip      int
-	maskEpoch     uint64
 	statFusedRuns atomic.Uint64 // fused whole-schedule executions
 }
 
@@ -378,7 +367,6 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 		table:    table,
 		remap:    remap,
 		inserted: map[int64]*insertedBP{},
-		pool:     newWorkerPool(goruntime.GOMAXPROCS(0)),
 		queries:  make(chan *QueryJob, queryQueueDepth),
 	}
 	rt.allGroups = rt.buildAllGroups()
@@ -716,7 +704,6 @@ func (rt *Runtime) Detach() {
 	if rt.attached {
 		rt.backend.RemoveCallback(rt.cbID)
 		rt.attached = false
-		rt.pool.close()
 		// Release the backend's dirty-signal tracking: an empty
 		// registration disables reporting, so the free-running design
 		// stops paying the per-commit change compares for a debugger

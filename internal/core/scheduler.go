@@ -65,10 +65,10 @@ func (rt *Runtime) onEdge(time uint64) {
 }
 
 // schedule walks breakpoint groups in the pre-computed order (or its
-// reverse), evaluates each group's members in parallel, and blocks in
-// the handler on hits. Reverse scheduling that falls off the beginning
-// of a cycle re-enters the previous cycle when the backend supports
-// SetTime (trace replay), giving full reverse debugging.
+// reverse), evaluates each group's members, and blocks in the handler
+// on hits. Reverse scheduling that falls off the beginning of a cycle
+// re-enters the previous cycle when the backend supports SetTime (trace
+// replay), giving full reverse debugging.
 func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, handler Handler) {
 	t := time
 	i := start
@@ -193,9 +193,10 @@ func (rt *Runtime) setStep(step, reverse bool) {
 }
 
 // evaluateGroup evaluates all candidate breakpoints of one source
-// statement in parallel (§3.2 step 2) and returns the members that hit.
-// Members run as compiled programs against the per-cycle prefetched
-// value cache, dispatched onto the persistent worker pool.
+// statement (§3.2 step 2) and returns the members that hit. Members run
+// as compiled programs against the per-cycle prefetched value cache, in
+// order on the simulation goroutine: each is a few hundred nanoseconds
+// of bytecode, less than a hand-off to another goroutine would cost.
 func (rt *Runtime) evaluateGroup(g *group, stepping bool, t uint64) []*insertedBP {
 	// Refresh the cache (and any pending dependency-union rebuild)
 	// BEFORE snapshotting members: a rebuild reassigns every inserted
@@ -222,22 +223,10 @@ func (rt *Runtime) evaluateGroup(g *group, stepping bool, t uint64) []*insertedB
 		return nil
 	}
 	rt.statEvaluated.Add(1)
-
-	if cap(rt.resultBuf) < len(members) {
-		rt.resultBuf = make([]bool, len(members))
-	}
-	results := rt.resultBuf[:len(members)]
-	if len(members) == 1 {
-		results[0] = rt.evalBP(members[0])
-	} else {
-		rt.pool.parallel(len(members), func(k int) {
-			results[k] = rt.evalBP(members[k])
-		})
-	}
 	var hits []*insertedBP
-	for idx, ok := range results {
-		if ok {
-			hits = append(hits, members[idx])
+	for _, m := range members {
+		if rt.evalBP(m) {
+			hits = append(hits, m)
 		}
 	}
 	return hits
@@ -266,7 +255,7 @@ func (rt *Runtime) evalBP(ibp *insertedBP) bool {
 				return false
 			}
 		} else {
-			v, err := ibp.execProg(rt, ibp.enableProg, ibp.enablePaths, ibp.enableSlots)
+			v, err := rt.execCompiled(ibp.enableProg, ibp.enablePaths, ibp.enableSlots)
 			if err != nil {
 				v, err = ibp.enable.Eval(ibp.pathResolver(rt))
 			}
@@ -285,7 +274,7 @@ func (rt *Runtime) evalBP(ibp *insertedBP) bool {
 				return false
 			}
 		} else {
-			v, err := ibp.execProg(rt, ibp.condProg, ibp.condPaths, ibp.condSlots)
+			v, err := rt.execCompiled(ibp.condProg, ibp.condPaths, ibp.condSlots)
 			if err != nil {
 				v, err = ibp.cond.Eval(ibp.pathResolver(rt))
 			}
@@ -318,25 +307,6 @@ func (rt *Runtime) evalBPBits(ibp *insertedBP) bool {
 	}
 	if ibp.cond != nil && !rt.condTruthBits(ibp, ibp.cond) {
 		return false
-	}
-	return true
-}
-
-// evalBPTree is the tree-walk reference implementation of evalBP,
-// retained for differential testing of the compiled pipeline.
-func (rt *Runtime) evalBPTree(ibp *insertedBP) bool {
-	resolver := ibp.pathResolver(rt)
-	if ibp.enable != nil {
-		v, err := ibp.enable.Eval(resolver)
-		if err != nil || !v.IsTrue() {
-			return false
-		}
-	}
-	if ibp.cond != nil {
-		v, err := ibp.cond.Eval(resolver)
-		if err != nil || !v.IsTrue() {
-			return false
-		}
 	}
 	return true
 }

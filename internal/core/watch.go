@@ -24,14 +24,12 @@ type Watchpoint struct {
 
 	node expr.Node // tree-walk reference form
 	// Compiled pipeline state, mirroring insertedBP: the expression as
-	// a register program, its dependency paths in prog.Deps order, the
-	// dependencies' prefetch-cache slots, and evaluation scratch.
-	prog    *expr.Program
-	paths   []string
-	pathOf  map[string]string // name → sim path, for tree-walk fallback
-	slots   []int
-	machine eval.Machine
-	opbuf   []eval.Value
+	// a register program, its dependency paths in prog.Deps order, and
+	// the dependencies' prefetch-cache slots.
+	prog   *expr.Program
+	paths  []string
+	pathOf map[string]string // name → sim path, for tree-walk fallback
+	slots  []int
 
 	// last is the previous value in the four-state plane; two-state
 	// results are lifted into it so the change compare is uniform
@@ -130,7 +128,7 @@ func (rt *Runtime) Watches() []*Watchpoint {
 // goroutine only.
 func (w *Watchpoint) eval(rt *Runtime) (val.Bits, error) {
 	if w.prog != nil && !rt.generalEval.Load() {
-		v, err := rt.execCompiled(w.prog, w.paths, w.slots, &w.machine, &w.opbuf)
+		v, err := rt.execCompiled(w.prog, w.paths, w.slots)
 		if err == nil {
 			return v.ToBits(), nil
 		}

@@ -7,8 +7,7 @@ package eval
 // (internal/expr) performs cross-condition CSE — subexpressions shared
 // between conditions (same structure over the same operand slots) are
 // hoisted into shared prelude segments computed once — and the
-// scheduler partitions the per-condition segments into contiguous
-// ranges across its worker pool.
+// scheduler then runs every per-condition segment on one machine.
 //
 // Error isolation is per segment: the segments of a fused program share
 // one register file but are otherwise independent, so an evaluation
@@ -53,8 +52,9 @@ type MultiProg struct {
 
 // FusedMachine executes fused programs. Like Machine it owns a reusable
 // register file, so steady-state execution allocates nothing, and it is
-// not safe for concurrent use — the scheduler gives each worker range
-// its own machine and copies the prelude's shared values in.
+// not safe for concurrent use: a goroutine running a condition range
+// needs its own machine, into which ExecConds copies the prelude's
+// shared values.
 type FusedMachine struct {
 	regs []Value
 	args [2]Value

@@ -414,6 +414,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for {
 		raw, err := conn.ReadText()
 		if err != nil {
+			// dropSession hands control on before the writer's Close
+			// answers a peer's close frame, so a client whose Close
+			// returned can reattach without racing its old session.
 			s.dropSession(sess.ID, fmt.Sprintf("read: %v", err))
 			return
 		}

@@ -40,10 +40,14 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key   string
+	key  string
+	size int // serialized byte size, the LRU budget unit
+	refs int
+	// ready closes once the first acquirer's load finished; table and
+	// err are written before it closes and read-only afterwards.
+	ready chan struct{}
 	table *Table
-	size  int // serialized byte size, the LRU budget unit
-	refs  int
+	err   error
 }
 
 // DefaultCacheBudget bounds idle (released, unreferenced) cached
@@ -65,7 +69,9 @@ func NewCache(budget int) *Cache {
 // runtime holding the table is done with it; the table itself must be
 // treated as read-only (it may be shared with other runtimes). hit
 // reports whether the table was already resident — identical content
-// had been loaded by an earlier (or concurrent) acquisition.
+// had been loaded, or was being loaded, by an earlier acquisition.
+// Concurrent first acquisitions of one content key parse it once: the
+// first publishes an in-flight entry and the rest wait on its load.
 func (c *Cache) Acquire(path string) (table *Table, release func(), hit bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -82,33 +88,29 @@ func (c *Cache) Acquire(path string) (table *Table, release func(), hit bool, er
 		}
 		e.refs++
 		c.mu.Unlock()
+		<-e.ready
+		if e.err != nil {
+			return nil, nil, false, e.err
+		}
 		return e.table, c.releaseFunc(e), true, nil
 	}
 	c.misses++
+	e := &cacheEntry{key: key, size: len(raw), refs: 1, ready: make(chan struct{})}
+	c.entries[key] = e
 	c.mu.Unlock()
 
 	// Parse outside the lock: a slow load (multi-MB table) must not
-	// stall unrelated hits. Two concurrent first-loads of the same
-	// content may both parse; the loser's copy is dropped below.
-	table, err = Load(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, false, err
-	}
-
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		// Lost the parse race: share the winner's table.
-		c.hits++
-		if e.refs == 0 {
-			c.removeIdleLocked(e)
-		}
-		e.refs++
+	// stall unrelated hits. An entry with references is never idle, so
+	// eviction cannot drop it while in flight.
+	e.table, e.err = Load(bytes.NewReader(raw))
+	if e.err != nil {
+		c.mu.Lock()
+		delete(c.entries, key)
 		c.mu.Unlock()
-		return e.table, c.releaseFunc(e), true, nil
+		close(e.ready)
+		return nil, nil, false, e.err
 	}
-	e := &cacheEntry{key: key, table: table, size: len(raw), refs: 1}
-	c.entries[key] = e
-	c.mu.Unlock()
+	close(e.ready)
 	return e.table, c.releaseFunc(e), false, nil
 }
 
@@ -161,9 +163,8 @@ func (c *Cache) evictLocked() {
 
 // CacheStats is a snapshot of the cache's accounting.
 type CacheStats struct {
-	// Hits counts acquisitions served by an already-resident table
-	// (including parse races lost to a concurrent first load); Misses
-	// counts content keys that had to be parsed.
+	// Hits counts acquisitions served by a resident or in-flight table;
+	// Misses counts acquisitions that had to parse their content key.
 	Hits, Misses uint64
 	// Live is the number of resident tables currently referenced by at
 	// least one runtime; Idle the number parked on the LRU, whose

@@ -9,6 +9,11 @@
 // writer goroutine keep the link alive. One goroutine may read while
 // another writes; reads themselves must stay on a single goroutine.
 //
+// A peer's close frame ends the read stream with ErrClosed, but the
+// answering close frame is sent by Close: the reader finishes its own
+// teardown first, so when the peer's Close returns, that teardown is
+// done. Every reader must therefore call Close once reading fails.
+//
 // Limitations (by design, documented): no fragmentation (FIN must be
 // set), no extensions, text/binary and control frames only, payloads
 // up to 16 MiB.
@@ -75,7 +80,10 @@ type Conn struct {
 	br     *bufio.Reader
 	client bool // clients mask outgoing frames
 	wmu    sync.Mutex
-	closed bool
+	closed bool // our close frame is sent
+	// peerClose holds the payload of the peer's close frame once one
+	// was read (nil = none yet); Close echoes it.
+	peerClose []byte
 
 	// writeTimeout is applied as a deadline to every frame write
 	// (0 = none); closeTimeout bounds the close handshake. Set both
@@ -334,14 +342,14 @@ func (c *Conn) readMessageLocked() (byte, []byte, error) {
 			// ignore
 		case opClose:
 			c.wmu.Lock()
-			if !c.closed {
-				c.closed = true
-				// Answer the peer's close; best-effort and bounded.
-				c.conn.SetWriteDeadline(time.Now().Add(c.closeTimeout))
-				c.writeFrameLocked(opClose, payload)
-			}
+			c.peerClose = append([]byte{}, payload...)
+			answered := c.closed
 			c.wmu.Unlock()
-			c.conn.Close()
+			if answered {
+				// The peer answered our close: the handshake is done.
+				c.conn.Close()
+			}
+			// Otherwise the answer waits for Close.
 			return 0, nil, ErrClosed
 		default:
 			return 0, nil, fmt.Errorf("ws: unsupported opcode %#x", op)
@@ -446,11 +454,13 @@ func (c *Conn) readPayload(length uint64) ([]byte, error) {
 // allocating a fresh zeroed slice per chunk.
 var zeroChunk [payloadChunk]byte
 
-// Close performs the close handshake from this side: it sends a close
-// frame, waits up to the close timeout for the peer's answer (consumed
-// here, or by a concurrent ReadText loop), then tears the socket down.
-// A peer that never answers — or never drains its receive buffer —
-// cannot block Close beyond the timeout.
+// Close performs the close handshake from this side. After a read
+// returned the peer's close frame, it sends the answering close frame
+// and tears the socket down. Otherwise it sends a close frame, waits up
+// to the close timeout for the peer's answer (consumed here, or by a
+// concurrent ReadText loop), then tears the socket down. A peer that
+// never answers — or never drains its receive buffer — cannot block
+// Close beyond the timeout.
 func (c *Conn) Close() error {
 	c.wmu.Lock()
 	if c.closed {
@@ -462,8 +472,12 @@ func (c *Conn) Close() error {
 	// configured: a wedged peer must not stall the handshake's first
 	// half either.
 	c.conn.SetWriteDeadline(time.Now().Add(c.closeTimeout))
-	c.writeFrameLocked(opClose, nil)
+	c.writeFrameLocked(opClose, c.peerClose)
+	answering := c.peerClose != nil
 	c.wmu.Unlock()
+	if answering {
+		return c.closeSocket()
+	}
 
 	deadline := time.Now().Add(c.closeTimeout)
 	if c.rmu.TryLock() {
@@ -487,8 +501,12 @@ func (c *Conn) Close() error {
 		case <-time.After(time.Until(deadline)):
 		}
 	}
-	// A reader that consumed the close ack already tore the socket
-	// down; that is a completed handshake, not an error.
+	return c.closeSocket()
+}
+
+// closeSocket tears the socket down. A reader that consumed the close
+// ack already did; that is a completed handshake, not an error.
+func (c *Conn) closeSocket() error {
 	if err := c.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
 		return err
 	}

@@ -2,6 +2,7 @@ package ws
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -91,6 +92,53 @@ func TestCloseHandshake(t *testing.T) {
 	}
 	if err := conn.WriteText([]byte("after close")); err == nil {
 		t.Fatal("write after close succeeded")
+	}
+}
+
+// TestCloseAnsweredAfterReaderTeardown pins the close contract the
+// server's session reap relies on: the peer's close frame ends the
+// reader with ErrClosed, and the answer waits for the reader's own
+// Close, so the initiator's Close cannot return before that teardown.
+func TestCloseAnsweredAfterReaderTeardown(t *testing.T) {
+	sawClose := make(chan struct{})
+	proceed := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := Upgrade(w, r)
+		if err != nil {
+			t.Errorf("upgrade: %v", err)
+			return
+		}
+		go func() {
+			_, err := conn.ReadText()
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("reader error = %v, want ErrClosed", err)
+			}
+			close(sawClose)
+			<-proceed // the reader's teardown
+			conn.Close()
+		}()
+	}))
+	t.Cleanup(srv.Close)
+	conn, err := Dial("ws://" + strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- conn.Close() }()
+	<-sawClose
+	select {
+	case <-closed:
+		t.Fatal("Close returned before the peer's reader finished its teardown")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(proceed)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not complete after the peer answered")
 	}
 }
 
