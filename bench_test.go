@@ -217,9 +217,9 @@ park:
 // whose dependencies change every edge, so activity skipping never
 // parks anything and the full armed set is evaluated each cycle.
 //
-// Compare ns/op across /fused (one fused program per edge), /per-group
-// (the per-group delta path: one member snapshot and one compiled
-// program per condition), and /exhaustive (no delta, no fusion). Stop sequences are pinned bit-identical by
+// Compare ns/op across /fused (one fused program per edge) and
+// /exhaustive (no delta, no fusion: one compiled program per condition
+// per group). Stop sequences are pinned bit-identical by
 // TestFusedStopEquivalenceRISCV and the internal/core fused
 // differentials; this benchmark only reports cost. The fused shape
 // (conditions, CSE segments, shared reads, deduplicated operands) is
@@ -230,7 +230,6 @@ func BenchmarkFig5Fused(b *testing.B) {
 		configure func(*core.Runtime)
 	}{
 		{"fused", func(*core.Runtime) {}},
-		{"per-group", func(rt *core.Runtime) { rt.SetFusedEval(false) }},
 		{"exhaustive", func(rt *core.Runtime) { rt.SetExhaustiveEval(true) }},
 	} {
 		mode := mode

@@ -83,7 +83,7 @@ func runStops(t *testing.T, w *riscv.Workload, choices []bpChoice, exhaustive bo
 }
 
 // runStopsWith is the configurable form: the callback picks the
-// scheduling mode (exhaustive / per-group / fused) before arming.
+// scheduling mode (exhaustive / fused / general) before arming.
 func runStopsWith(t *testing.T, w *riscv.Workload, choices []bpChoice, configure func(*core.Runtime)) ([]string, *core.Runtime) {
 	t.Helper()
 	nCores := 1

@@ -12,8 +12,7 @@ import (
 // evaluation over the real Figure 5 machines, at the scale the
 // optimization targets: randomized sets of 100+ armed breakpoints. The
 // fused path is the default, so runStopsWith with no configuration
-// exercises it; SetFusedEval(false) gives the per-group delta baseline
-// and SetExhaustiveEval(true) the ground truth.
+// exercises it; SetExhaustiveEval(true) gives the ground truth.
 
 // chooseManyBreakpoints keeps drawing randomized choices until the
 // armed set would reach the target count (each choice can arm several
@@ -42,8 +41,7 @@ func chooseManyBreakpoints(t *testing.T, m *riscv.Machine, rnd func() uint64, ta
 // differential: with 100+ randomized armed breakpoints on the RISC-V
 // workloads, the fused whole-schedule path produces the identical stop
 // sequence — times, locations, hit instances, frame values — as
-// exhaustive per-edge evaluation (and, on towers, as the per-group
-// delta path).
+// exhaustive per-edge evaluation.
 func TestFusedStopEquivalenceRISCV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload runs")
@@ -52,11 +50,10 @@ func TestFusedStopEquivalenceRISCV(t *testing.T) {
 	for _, tc := range []struct {
 		workload string
 		seed     uint64
-		threeWay bool
 	}{
-		{"towers", 0x9E3779B97F4A7C15, true},
-		{"vvadd", 0xBF58476D1CE4E5B9, false},
-		{"mt-idle", 0x94D049BB133111EB, false},
+		{"towers", 0x9E3779B97F4A7C15},
+		{"vvadd", 0xBF58476D1CE4E5B9},
+		{"mt-idle", 0x94D049BB133111EB},
 	} {
 		ws := byName[tc.workload]
 		if len(ws) == 0 {
@@ -92,17 +89,6 @@ func TestFusedStopEquivalenceRISCV(t *testing.T) {
 			}
 			t.Logf("%s: %d stops over %d armed; fused %s", tc.workload, len(fused),
 				len(rt.ListBreakpoints()), fmt.Sprintf("%+v", stats))
-			if tc.threeWay {
-				perGroup, _ := runStopsWith(t, w, choices, func(rt *core.Runtime) { rt.SetFusedEval(false) })
-				if len(perGroup) != len(exhaustive) {
-					t.Fatalf("stop counts differ: per-group=%d exhaustive=%d", len(perGroup), len(exhaustive))
-				}
-				for i := range perGroup {
-					if perGroup[i] != exhaustive[i] {
-						t.Fatalf("stop %d differs:\nper-group:  %s\nexhaustive: %s", i, perGroup[i], exhaustive[i])
-					}
-				}
-			}
 		})
 	}
 }

@@ -481,14 +481,14 @@ func TestEvaluateWatchExpression(t *testing.T) {
 	d.sim.Poke("Counter.en", 1)
 	d.sim.Run(7)
 	d.sim.Settle()
-	v, err := rt.Evaluate("Counter", "count + 1")
+	v, err := rt.EvaluateBits("Counter", "count + 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Bits != 8 {
-		t.Fatalf("watch = %d, want 8", v.Bits)
+	if v.V0 != 8 {
+		t.Fatalf("watch = %d, want 8", v.V0)
 	}
-	if _, err := rt.Evaluate("Counter", "ghost + 1"); err == nil {
+	if _, err := rt.EvaluateBits("Counter", "ghost + 1"); err == nil {
 		t.Fatal("unknown name evaluated")
 	}
 }

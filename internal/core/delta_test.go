@@ -50,7 +50,7 @@ func runCounterScenario(t *testing.T, exhaustive bool) ([]stopSig, *Runtime) {
 }
 
 // runCounterWith is the configurable form: the callback picks the
-// scheduling mode (exhaustive / per-group / fused) before arming.
+// scheduling mode (exhaustive / fused / general) before arming.
 func runCounterWith(t *testing.T, configure func(*Runtime)) ([]stopSig, *Runtime) {
 	t.Helper()
 	d := buildCounterDesign(t, false)

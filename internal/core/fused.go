@@ -12,17 +12,18 @@ import (
 // at each forward, non-stepping clock edge the scheduler executes that
 // program once on the simulation goroutine — shared CSE prelude, then
 // every per-condition segment on one machine — and the group walk
-// merely consumes per-condition results, with no per-group locking or
-// snapshotting.
+// merely consumes per-condition results.
 //
-// The activity skip becomes a packed bitmap over fused condition ids,
+// The activity skip is a packed bitmap over fused condition ids,
 // snapshotted before each run so the program skips parked conditions
 // and the group walk accounts them. Anything the fused fast path
 // cannot prove — an unverified dependency, a failed operand fetch, a
 // poisoned shared segment — falls back to the exact per-condition path
-// (evalBP), so fused scheduling is bit-identical to per-group
-// evaluation; reverse scheduling and stepping use the per-group path
-// entirely.
+// (evalBP), so fused scheduling is bit-identical to exhaustive
+// evaluation. Stepping (and so reverse scheduling) walks every member
+// through evaluateGroup instead, and so does a forward edge when no
+// fused schedule exists: then every armed group is evaluated, correct
+// but unskipped.
 
 // fusedState is the per-union-generation fused schedule: the compiled
 // program, its membership maps, and the per-edge execution buffers.
@@ -55,10 +56,10 @@ type fusedState struct {
 	parked   int
 	mask     []uint64
 
-	// Per-edge execution buffers.
+	// Per-edge execution buffers; shared prelude values stay in the
+	// machine's register file between ExecShared and ExecConds.
 	opsVals []eval.Value
 	opsOK   []bool
-	shVals  []eval.Value
 	shOK    []bool
 	results []eval.Value
 	resOK   []bool
@@ -137,8 +138,9 @@ func (rt *Runtime) rebuildFused() {
 	}
 	sched, err := expr.Fuse(fconds)
 	if err != nil {
-		// A condition the fuser cannot compile leaves the whole schedule
-		// on the per-group path; correctness never depends on fusion.
+		// A schedule the fuser rejects (register file or operand count
+		// overflow) leaves every armed group to evaluateGroup at every
+		// edge; correctness never depends on fusion.
 		rt.fused = nil
 		return
 	}
@@ -146,7 +148,6 @@ func (rt *Runtime) rebuildFused() {
 	n := len(sched.Prog.Conds)
 	fs.opsVals = make([]eval.Value, len(sched.Slots))
 	fs.opsOK = make([]bool, len(sched.Slots))
-	fs.shVals = make([]eval.Value, sched.Prog.NumShared)
 	fs.shOK = make([]bool, sched.Prog.NumShared)
 	fs.results = make([]eval.Value, n)
 	fs.resOK = make([]bool, n)
@@ -162,23 +163,14 @@ func (rt *Runtime) rebuildFused() {
 	rt.fused = fs
 }
 
-// fusedOn reports whether the fused fast path is enabled (it also
-// requires activity-driven scheduling: SetExhaustiveEval(true) is the
-// everything-off differential baseline).
-func (rt *Runtime) fusedOn() bool {
-	return !rt.fusedOff.Load() && rt.deltaOn() && !rt.generalEval.Load()
-}
-
 // fusedReady returns the fused state with results current for time t,
 // executing the fused program if this edge has not run it yet (or a
-// stop handler invalidated the previous run). Returns nil when the
-// fast path is unavailable. Callers must have run ensurePrefetch(t).
+// stop handler invalidated the previous run). Returns nil when no
+// schedule is built, or when SetExhaustiveEval or SetGeneralEval turns
+// the fast path off. Callers must have run ensurePrefetch(t).
 func (rt *Runtime) fusedReady(t uint64) *fusedState {
-	if !rt.fusedOn() {
-		return nil
-	}
 	fs := rt.fused
-	if fs == nil {
+	if fs == nil || !rt.deltaOn() || rt.generalEval.Load() {
 		return nil
 	}
 	if fs.valid && fs.time == t {
@@ -206,9 +198,8 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 		fs.opsOK[k] = rt.prefetchOK[s]
 	}
 	fs.packMask()
-	fs.machine.ExecShared(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK)
-	fs.machine.ExecConds(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK,
-		0, len(fs.resOK), fs.mask, fs.results, fs.resOK)
+	fs.machine.ExecShared(&sched.Prog, fs.opsVals, fs.opsOK, fs.shOK)
+	fs.machine.ExecConds(&sched.Prog, fs.opsVals, fs.opsOK, fs.shOK, fs.mask, fs.results, fs.resOK)
 	fs.valid, fs.time = true, t
 	// Account evaluated breakpoint conditions and park fresh provable
 	// misses: a condition that evaluated sound-and-false stays skipped

@@ -9,33 +9,27 @@ import (
 	"repro/internal/vpi"
 )
 
-// These tests pin the fused whole-schedule path (fused.go) to the
-// per-group and exhaustive evaluators bit for bit, across the cases
-// where the fused cache could go stale: handler-poked values, mid-run
-// breakpoint changes, and reverse scheduling.
+// These tests pin the fused whole-schedule path (fused.go) to
+// exhaustive evaluation bit for bit, across the cases where the fused
+// cache could go stale: handler-poked values, mid-run breakpoint
+// changes, and reverse scheduling.
 
-// TestFusedSchedulingMatchesPerGroupAndExhaustive is the three-way
-// differential on the bursty counter scenario: fused (the default),
-// per-group delta (SetFusedEval(false)), and exhaustive evaluation must
-// produce identical stop sequences — and the fused run must actually
-// have executed the fused program and skipped idle work.
-func TestFusedSchedulingMatchesPerGroupAndExhaustive(t *testing.T) {
+// TestFusedSchedulingMatchesExhaustive is the differential on the
+// bursty counter scenario: fused (the default) and exhaustive
+// evaluation must produce identical stop sequences — and the fused run
+// must actually have executed the fused program and skipped idle work.
+func TestFusedSchedulingMatchesExhaustive(t *testing.T) {
 	exhaustive, _ := runCounterWith(t, func(rt *Runtime) { rt.SetExhaustiveEval(true) })
-	perGroup, _ := runCounterWith(t, func(rt *Runtime) { rt.SetFusedEval(false) })
 	fused, rt := runCounterWith(t, func(*Runtime) {})
 	if len(exhaustive) == 0 {
 		t.Fatal("scenario produced no stops; test is vacuous")
 	}
-	if len(perGroup) != len(exhaustive) || len(fused) != len(exhaustive) {
-		t.Fatalf("stop counts differ: fused=%d per-group=%d exhaustive=%d",
-			len(fused), len(perGroup), len(exhaustive))
+	if len(fused) != len(exhaustive) {
+		t.Fatalf("stop counts differ: fused=%d exhaustive=%d", len(fused), len(exhaustive))
 	}
 	for i := range exhaustive {
 		if fused[i] != exhaustive[i] {
 			t.Fatalf("stop %d differs:\nfused:      %+v\nexhaustive: %+v", i, fused[i], exhaustive[i])
-		}
-		if perGroup[i] != exhaustive[i] {
-			t.Fatalf("stop %d differs:\nper-group:  %+v\nexhaustive: %+v", i, perGroup[i], exhaustive[i])
 		}
 	}
 	if rt.FusedRuns() == 0 {
@@ -150,8 +144,8 @@ func TestFusedMidRunRearm(t *testing.T) {
 	}
 }
 
-// TestFusedReverseMatchesExhaustive: reverse scheduling falls back to
-// the per-group path; with fusion enabled the whole reverse walk (which
+// TestFusedReverseMatchesExhaustive: reverse scheduling steps, so it
+// walks every member through evaluateGroup; with fusion enabled the whole reverse walk (which
 // interleaves SetTime rewinds with forward fused state) must still be
 // bit-identical to exhaustive evaluation.
 func TestFusedReverseMatchesExhaustive(t *testing.T) {

@@ -83,45 +83,14 @@ func (rt *Runtime) rebuildDeps() {
 		}
 		return slots
 	}
-	// Rebuild the activity-scheduling indexes alongside the slots: the
-	// slot→group inverted index (dirt propagation), each group's slot
-	// list (skip eligibility), armed-member counts, and the clean-miss
-	// flags — all reset, so the first edge after any breakpoint change
-	// evaluates everything.
+	// Rebuild the per-group armed-member counts alongside the slots:
+	// outside stepping, a group with none is never walked.
 	rt.groupArmed = make([]int, len(rt.allGroups))
-	rt.groupStatic = make([]bool, len(rt.allGroups))
-	rt.groupSlots = make([][]int32, len(rt.allGroups))
-	rt.groupSkip = make([]bool, len(rt.allGroups))
-	for i := range rt.groupStatic {
-		rt.groupStatic[i] = true
-	}
-	addGroupSlots := func(gi int, slots []int) bool {
-		ok := true
-		for _, s := range slots {
-			if s < 0 {
-				// Unverified dependency, probed per evaluation: the
-				// group's misses can never be proven stable.
-				ok = false
-				continue
-			}
-			rt.groupSlots[gi] = append(rt.groupSlots[gi], int32(s))
-		}
-		return ok
-	}
 	for _, ibp := range rt.inserted {
 		ibp.enableSlots = assign(ibp.enablePaths, ibp.enableVerified)
 		ibp.condSlots = assign(ibp.condPaths, ibp.condVerified)
-		gi, ok := rt.groupIdx[ibp.key()]
-		if !ok {
-			continue // not a schedulable statement; never evaluated
-		}
-		rt.groupArmed[gi]++
-		if !addGroupSlots(gi, ibp.enableSlots) || !addGroupSlots(gi, ibp.condSlots) ||
-			ibp.generalOnly() {
-			// generalOnly: the condition's dependencies are invisible to
-			// the slot machinery (no compiled program), so its misses can
-			// never be proven stable.
-			rt.groupStatic[gi] = false
+		if gi, ok := rt.groupIdx[ibp.key()]; ok {
+			rt.groupArmed[gi]++
 		}
 	}
 	for _, w := range rt.watches {
@@ -130,12 +99,6 @@ func (rt *Runtime) rebuildDeps() {
 	}
 	// Invert only after every slot is assigned — watch assignment above
 	// still extends the union.
-	rt.slotGroups = make([][]int32, len(rt.depUnion))
-	for gi, slots := range rt.groupSlots {
-		for _, s := range slots {
-			rt.slotGroups[s] = append(rt.slotGroups[s], int32(gi))
-		}
-	}
 	rt.slotWatches = make([][]*Watchpoint, len(rt.depUnion))
 	for _, w := range rt.watches {
 		for _, s := range w.slots {
@@ -178,7 +141,7 @@ func (rt *Runtime) rebuildDeps() {
 // watch pass) hits the cache. When the backend reports per-edge signal
 // activity (vpi.ChangeReporter), only the reported-dirty slots are
 // re-read; every refreshed slot is diffed against its previous value
-// and actual changes clear the clean-miss flags of the groups and
+// and actual changes clear the skip flags of the fused conditions and
 // watches depending on it. Runs on the simulation goroutine.
 func (rt *Runtime) ensurePrefetch(t uint64) {
 	rt.mu.Lock()
@@ -196,10 +159,11 @@ func (rt *Runtime) ensurePrefetch(t uint64) {
 	// delta report can bound what to re-read and value diffs against it
 	// are meaningful. A mid-edge invalidation (stop handler returned,
 	// SetTime rewound) clears only prefetchValid — the snapshot is
-	// still the set of values every parked group was last evaluated
+	// still the set of values every parked condition was last evaluated
 	// against, exactly the baseline the diff must use: handler pokes
 	// and rewinds surface as value differences (or a reporter dirt /
-	// cannot-bound verdict) and un-park precisely the affected groups.
+	// cannot-bound verdict) and un-park precisely the affected
+	// conditions.
 	hadValues := rt.diffBase
 	rt.prefetchTime = t
 	rt.prefetchValid = true
@@ -228,8 +192,8 @@ func (rt *Runtime) ensurePrefetch(t uint64) {
 }
 
 // refreshAll re-reads the whole dependency union, diffing each slot
-// against the previous snapshot (when one exists) to clear clean-miss
-// flags only for dependencies that actually moved.
+// against the previous snapshot (when one exists) to clear skip flags
+// only for dependencies that actually moved.
 func (rt *Runtime) refreshAll(hadValues bool) {
 	in := rt.incoming[:len(rt.depUnion)]
 	if err := vpi.ReadBatchInto(rt.backend, rt.depUnion, in); err == nil {
@@ -242,8 +206,8 @@ func (rt *Runtime) refreshAll(hadValues bool) {
 	// A path in the union failed (e.g. a condition naming a signal that
 	// only resolves as an absolute path, or not at all). Fall back to
 	// per-path reads so one bad name cannot starve every other
-	// breakpoint; evaluations touching the missing slot fail per-eval,
-	// exactly like the tree-walk reference.
+	// breakpoint; evaluations touching the missing slot fail per-eval
+	// and fall back to the general evaluator.
 	for i, p := range rt.depUnion {
 		v, err := rt.backend.GetValue(p)
 		rt.commitSlot(i, v, err == nil, hadValues)
@@ -280,8 +244,8 @@ func (rt *Runtime) refreshSlots(slots []int) {
 
 // commitSlot stores one refreshed union value. A slot whose value
 // actually differs from the cached one (or whose read failed, or that
-// has no valid baseline) dirties every group and watch depending on
-// it: their last-miss verdicts no longer provably hold.
+// has no valid baseline) dirties every fused condition and watch
+// depending on it: their last verdicts no longer provably hold.
 func (rt *Runtime) commitSlot(i int, v eval.Value, ok, hadValues bool) {
 	if !hadValues || !ok || !rt.prefetchOK[i] || v != rt.prefetched[i] {
 		rt.markSlotDirty(i)
@@ -290,33 +254,13 @@ func (rt *Runtime) commitSlot(i int, v eval.Value, ok, hadValues bool) {
 	rt.prefetchOK[i] = ok
 }
 
-// markSlotDirty clears the clean-miss flags of everything depending on
-// union slot i.
+// markSlotDirty clears the skip flags of every watch and fused
+// condition depending on union slot i.
 func (rt *Runtime) markSlotDirty(i int) {
-	for _, gi := range rt.slotGroups[i] {
-		rt.groupSkip[gi] = false
-	}
 	for _, w := range rt.slotWatches[i] {
 		w.canSkip = false
 	}
 	rt.fused.fusedUnpark(i)
-}
-
-// noteGroupMiss records that group gi was evaluated with no hits. When
-// the group is skip-eligible — every armed member's dependencies are
-// verified, slotted, and currently readable — the miss provably holds
-// until one of those dependencies changes, and the scheduler may skip
-// the group at clean edges.
-func (rt *Runtime) noteGroupMiss(gi int) {
-	if !rt.groupStatic[gi] {
-		return
-	}
-	for _, s := range rt.groupSlots[gi] {
-		if !rt.prefetchOK[s] {
-			return
-		}
-	}
-	rt.groupSkip[gi] = true
 }
 
 // invalidatePrefetch drops the cycle cache; called after the stop

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/eval"
+	"repro/internal/expr"
 	"repro/internal/generator"
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -54,10 +56,17 @@ func TestCompiledMatchesTreeWalk(t *testing.T) {
 	}
 }
 
-// evalBPTree is the tree-walk reference implementation of evalBP,
-// the oracle the compiled pipeline is differentially tested against.
+// evalBPTree is the two-state tree-walk reference implementation of
+// evalBP, the oracle the compiled pipeline is differentially tested
+// against. It resolves names through the breakpoint's precomputed path
+// map, falling back to instance-local RTL names.
 func (rt *Runtime) evalBPTree(ibp *insertedBP) bool {
-	resolver := ibp.pathResolver(rt)
+	resolver := expr.ResolverFunc(func(name string) (eval.Value, error) {
+		if full, ok := ibp.paths[name]; ok {
+			return rt.backend.GetValue(full)
+		}
+		return rt.backend.GetValue(rt.remap.ToSim(ibp.bp.InstanceName + "." + name))
+	})
 	if ibp.enable != nil {
 		v, err := ibp.enable.Eval(resolver)
 		if err != nil || !v.IsTrue() {
@@ -237,27 +246,52 @@ func TestPrefetchInvalidatedAfterHandler(t *testing.T) {
 }
 
 // TestShortCircuitUnresolvableName pins the eager-gather divergence
-// fix: a condition whose short-circuited side names an unresolvable
-// signal must still hit when the deciding side holds, exactly like the
-// tree-walk reference.
+// fix: compiled execution fails on a condition naming an unresolvable
+// signal, and the general evaluator must then short-circuit past that
+// name exactly as the language defines — hitting when the deciding
+// side holds, and missing without error when it does not. Each case
+// runs in the default mode and under both differential oracles.
 func TestShortCircuitUnresolvableName(t *testing.T) {
-	d := buildCounterDesign(t, false)
-	rt, err := New(vpi.NewSimBackend(d.sim), d.table)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		cond  string
+		stops int
+	}{
+		{"count >= 0 || no_such_signal", 3},
+		{"count > 100 && no_such_signal", 0},
+		{"en ? count >= 0 : no_such_signal", 3},
 	}
-	if _, err := rt.AddBreakpoint("core_test.go", d.incLine, "count >= 0 || no_such_signal"); err != nil {
-		t.Fatal(err)
+	modes := []struct {
+		name      string
+		configure func(*Runtime)
+	}{
+		{"default", func(*Runtime) {}},
+		{"exhaustive", func(rt *Runtime) { rt.SetExhaustiveEval(true) }},
+		{"general", func(rt *Runtime) { rt.SetGeneralEval(true) }},
 	}
-	stops := 0
-	rt.SetHandler(func(ev *StopEvent) Command {
-		stops++
-		return CmdContinue
-	})
-	d.sim.Poke("Counter.en", 1)
-	d.sim.Run(3)
-	if stops != 3 {
-		t.Fatalf("stops = %d, want 3 (short-circuit past the bad name)", stops)
+	for _, tc := range cases {
+		for _, m := range modes {
+			t.Run(tc.cond+"/"+m.name, func(t *testing.T) {
+				d := buildCounterDesign(t, false)
+				rt, err := New(vpi.NewSimBackend(d.sim), d.table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.configure(rt)
+				if _, err := rt.AddBreakpoint("core_test.go", d.incLine, tc.cond); err != nil {
+					t.Fatal(err)
+				}
+				stops := 0
+				rt.SetHandler(func(ev *StopEvent) Command {
+					stops++
+					return CmdContinue
+				})
+				d.sim.Poke("Counter.en", 1)
+				d.sim.Run(3)
+				if stops != tc.stops {
+					t.Fatalf("stops = %d, want %d", stops, tc.stops)
+				}
+			})
+		}
 	}
 }
 

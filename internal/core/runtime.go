@@ -208,11 +208,10 @@ type Handler func(*StopEvent) Command
 // insertedBP is one armed emulated breakpoint.
 type insertedBP struct {
 	bp     symtab.Breakpoint
-	enable expr.Node // nil = always enabled; tree-walk reference form
-	cond   expr.Node // user condition; nil = none; tree-walk reference
+	enable expr.Node // nil = always enabled; parsed form
+	cond   expr.Node // user condition; nil = none; parsed form
 	// paths precomputes name → full simulator path for every identifier
-	// the conditions reference, so per-cycle evaluation allocates
-	// nothing (the timing-sensitive path of §3.3).
+	// the conditions reference, for the general evaluator's resolver.
 	paths map[string]string
 
 	// Compiled pipeline state: the conditions lowered to register
@@ -266,18 +265,16 @@ type Runtime struct {
 	// stepping state
 	stepArmed    bool // stop at the next enabled statement
 	reverseArmed bool // schedule in reverse on the next evaluation
-	resumeFrom   int  // group index to resume within the current cycle
 	detached     bool
 
 	watches   []*Watchpoint
 	nextWatch int
 
-	cbID       int
-	attached   bool
-	evalCount  uint64 // statistics: breakpoint condition evaluations
-	stopCount  uint64
-	allGroups  []*group // all symtab statements, for stepping
-	cycleGuard bool
+	cbID      int
+	attached  bool
+	evalCount uint64 // statistics: breakpoint condition evaluations
+	stopCount uint64
+	allGroups []*group // all symtab statements, for stepping
 
 	// queries holds pending debugger queries awaiting a drain point
 	// with stable simulation state; execMu serializes every job's
@@ -306,15 +303,16 @@ type Runtime struct {
 	prefetchValid bool
 
 	// Activity-driven scheduling state (simulation goroutine only,
-	// except the atomics). The scheduler skips any group whose last
-	// evaluation produced no hit and whose dependency slots have been
-	// clean at every cache refresh since; dirt arrives either from the
-	// backend's vpi.ChangeReporter poll (which also lets the refresh
-	// re-read only the dirty slots) or from value diffing on a full
-	// refresh. See DESIGN.md "Activity-driven scheduling".
+	// except the atomics). The fused schedule skips any breakpoint
+	// condition whose last evaluation was a sound miss and whose operand
+	// slots have been clean at every cache refresh since, and watches
+	// skip likewise; dirt arrives either from the backend's
+	// vpi.ChangeReporter poll (which also lets the refresh re-read only
+	// the dirty slots) or from value diffing on a full refresh. See
+	// DESIGN.md "Activity-driven scheduling".
 	reporter    vpi.ChangeReporter // backend capability; nil if absent
 	deltaOff    atomic.Bool        // SetExhaustiveEval escape hatch
-	generalEval atomic.Bool        // SetGeneralEval: force four-state tree-walk
+	generalEval atomic.Bool        // SetGeneralEval: force the four-state evaluator
 	changedBuf  []bool             // reporter poll scratch, aligned with depUnion
 	incoming    []eval.Value       // refresh scratch (read-then-diff)
 	dirtySlots  []int              // slots to refresh this edge (partial path)
@@ -322,21 +320,15 @@ type Runtime struct {
 	valBuf      []eval.Value       // partial-refresh value scatter scratch
 	diffBase    bool               // prefetched holds values of this union generation
 
-	// Per-group scheduling state, indexed by position in allGroups and
-	// rebuilt with the dependency union: the slot→groups inverted
-	// index, each group's dependency slots, armed-member counts, the
-	// skip-eligibility of each group (every armed member's deps
-	// verified and slotted), and the clean-miss flags themselves.
+	// Scheduling indexes rebuilt with the dependency union: each
+	// group's position in allGroups, the slot→watches inverted index,
+	// and the armed-member count of each group.
 	groupIdx    map[groupKey]int
-	slotGroups  [][]int32
 	slotWatches [][]*Watchpoint
-	groupSlots  [][]int32
 	groupArmed  []int
-	groupStatic []bool
-	groupSkip   []bool
 
 	// Activity statistics (atomic: benchmarks read them cross-routine).
-	statSkipped   atomic.Uint64 // armed groups skipped as provably clean misses
+	statSkipped   atomic.Uint64 // armed groups whose fused conditions were all parked misses
 	statEvaluated atomic.Uint64 // groups evaluated with at least one member
 	statPartial   atomic.Uint64 // cache refreshes bounded by a delta report
 
@@ -348,10 +340,8 @@ type Runtime struct {
 	opbuf     []eval.Value
 
 	// Fused schedule compilation state (see fused.go): the whole-schedule
-	// fused program rebuilt with the dependency union, and the
-	// SetFusedEval escape hatch.
+	// fused program rebuilt with the dependency union.
 	fused         *fusedState
-	fusedOff      atomic.Bool
 	statFusedRuns atomic.Uint64 // fused whole-schedule executions
 }
 
@@ -377,8 +367,8 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 	if cr, ok := backend.(vpi.ChangeReporter); ok {
 		rt.reporter = cr
 	}
-	// Build the (empty) dependency union and per-group scheduling
-	// arrays up front so the scheduler never sees them nil — stepping
+	// Build the (empty) dependency union and per-group armed counts
+	// up front so the scheduler never sees them nil — stepping
 	// can run before any breakpoint is armed.
 	rt.rebuildDeps()
 	rt.cbID = backend.OnClockEdge(rt.onEdge)
@@ -395,14 +385,8 @@ func (rt *Runtime) SetExhaustiveEval(on bool) { rt.deltaOff.Store(on) }
 // deltaOn reports whether activity-driven scheduling is active.
 func (rt *Runtime) deltaOn() bool { return !rt.deltaOff.Load() }
 
-// SetFusedEval disables (on=false) or re-enables whole-schedule fused
-// condition compilation. With fusion off, forward scheduling uses the
-// per-group activity-driven path — the comparison baseline fused
-// execution is benchmarked against. Call before driving the simulation.
-func (rt *Runtime) SetFusedEval(on bool) { rt.fusedOff.Store(!on) }
-
 // SetGeneralEval (on=true) forces every condition through the general
-// four-state tree-walk evaluator instead of the compiled two-state
+// four-state evaluator (expr.EvalBits) instead of the compiled two-state
 // pipeline — the differential baseline that pins the fast path
 // bit-identical to four-state semantics on fully known designs. It
 // also suppresses fused execution, which is a two-state specialization
@@ -411,9 +395,9 @@ func (rt *Runtime) SetGeneralEval(on bool) { rt.generalEval.Store(on) }
 
 // FuseInfo reports the current fused schedule's shape: fused condition
 // count, CSE shared segments, shared-register reads those segments
-// replaced, and deduplicated operand count. ok is false when the fast
-// path is unavailable (nothing armed, fusion disabled, or a condition
-// the fuser rejected).
+// replaced, and deduplicated operand count. ok is false when no
+// schedule is built (no fusable condition armed, or a schedule the
+// fuser rejected).
 func (rt *Runtime) FuseInfo() (stats expr.FuseStats, ok bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -479,8 +463,8 @@ func (ibp *insertedBP) key() groupKey {
 // generalOnly reports whether any of the breakpoint's conditions parsed
 // but did not compile (four-state literals, wide constants): such a
 // member evaluates exclusively through the general four-state
-// evaluator, its dependencies stay out of the prefetch union, and its
-// group can never be proven a clean miss.
+// evaluator, its dependencies stay out of the prefetch union, and it
+// stays out of the fused schedule, so it is evaluated at every edge.
 func (ibp *insertedBP) generalOnly() bool {
 	return (ibp.enable != nil && ibp.enableProg == nil) ||
 		(ibp.cond != nil && ibp.condProg == nil)

@@ -92,52 +92,30 @@ func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, hand
 			break
 		}
 		g := rt.allGroups[i]
-		// Activity-driven skip: outside stepping, a group with no armed
-		// member can never hit, and a group whose last evaluation was a
-		// provable miss with all dependency slots clean since
-		// (ensurePrefetch maintains the flags) must miss again —
-		// skipping it is bit-identical to evaluating it. Stepping
-		// always evaluates everything.
-		var hits []*insertedBP
-		usedFused := false
+		// Outside stepping, a group with no armed member can never hit,
+		// and when the fused schedule is live (fused.go) the group only
+		// consumes its conditions' results from the edge's single program
+		// run, skipping parked provable misses. Stepping evaluates every
+		// member of every group, and reverse scheduling always steps.
+		var fs *fusedState
 		if !stepping && rt.deltaOn() {
 			rt.ensurePrefetch(t)
 			if rt.groupArmed[i] == 0 {
 				i = next(i, reverse)
 				continue
 			}
-			// Fused fast path (fused.go): the whole schedule's conditions
-			// ran as one program when this edge's cache was refreshed;
-			// the walk just consumes per-condition results. Reverse
-			// scheduling stays on the per-group path — its mid-walk
-			// SetTime rewinds re-run per group anyway, so fusion would
-			// re-execute the whole schedule per rewound group.
-			if !reverse {
-				if fs := rt.fusedReady(t); fs != nil {
-					hits = rt.fusedGroupEval(fs, i)
-					usedFused = true
-				}
-			}
-			if !usedFused && rt.groupSkip[i] {
-				rt.statSkipped.Add(1)
-				i = next(i, reverse)
-				continue
-			}
+			fs = rt.fusedReady(t)
 		}
-		if !usedFused {
+		var hits []*insertedBP
+		if fs != nil {
+			hits = rt.fusedGroupEval(fs, i)
+		} else {
 			hits = rt.evaluateGroup(g, stepping, t)
 		}
 		if len(hits) == 0 {
-			if !usedFused && !stepping && rt.deltaOn() {
-				rt.noteGroupMiss(i)
-			}
 			i = next(i, reverse)
 			continue
 		}
-		// A hit group stays hot: its condition holds and must re-stop
-		// at every edge until a dependency moves or the user resumes
-		// past it.
-		rt.groupSkip[i] = false
 		event := rt.buildEvent(g, hits, t, reverse, stepping)
 		rt.mu.Lock()
 		rt.stopCount++
@@ -233,61 +211,36 @@ func (rt *Runtime) evaluateGroup(g *group, stepping bool, t uint64) []*insertedB
 }
 
 // evalBP checks one breakpoint: SSA enable condition AND user
-// condition, both executed as compiled register programs over operands
+// condition, each executed as a compiled register program over operands
 // resolved at arm time and prefetched for the cycle. Compiled execution
 // gathers operands eagerly, so a dependency that cannot be fetched
-// fails it even when the tree-walk would short-circuit past that
-// reference; on error the tree-walk reference decides, keeping the two
-// paths semantically identical. When the two-state tree-walk also
-// fails — an operand carries x/z bits or exceeds 64 bits — the general
-// four-state evaluator is the final authority: the breakpoint hits
-// only when the condition is definitely true (x is not a hit, matching
-// Verilog's `if`).
+// fails it even when the condition would short-circuit past that
+// reference; on any compiled failure — and for conditions that never
+// compiled — the general four-state evaluator decides, which also
+// covers operands carrying x/z bits or exceeding 64 bits. A breakpoint
+// hits only when its conditions are definitely true (x is not a hit,
+// matching Verilog's `if`).
 func (rt *Runtime) evalBP(ibp *insertedBP) bool {
 	if rt.generalEval.Load() {
 		return rt.evalBPBits(ibp)
 	}
-	if ibp.enable != nil {
-		if ibp.enableProg == nil {
-			// Parsed but not compilable (four-state constructs): the
-			// general evaluator is the only path.
-			if !rt.condTruthBits(ibp, ibp.enable) {
-				return false
-			}
-		} else {
-			v, err := rt.execCompiled(ibp.enableProg, ibp.enablePaths, ibp.enableSlots)
-			if err != nil {
-				v, err = ibp.enable.Eval(ibp.pathResolver(rt))
-			}
-			if err != nil {
-				if !rt.condTruthBits(ibp, ibp.enable) {
-					return false
-				}
-			} else if !v.IsTrue() {
-				return false
-			}
+	return rt.condTrue(ibp, ibp.enable, ibp.enableProg, ibp.enablePaths, ibp.enableSlots) &&
+		rt.condTrue(ibp, ibp.cond, ibp.condProg, ibp.condPaths, ibp.condSlots)
+}
+
+// condTrue evaluates one of a breakpoint's conditions (nil = absent,
+// always true): the compiled program first, the general evaluator when
+// the program is missing or fails.
+func (rt *Runtime) condTrue(ibp *insertedBP, n expr.Node, prog *expr.Program, paths []string, slots []int) bool {
+	if n == nil {
+		return true
+	}
+	if prog != nil {
+		if v, err := rt.execCompiled(prog, paths, slots); err == nil {
+			return v.IsTrue()
 		}
 	}
-	if ibp.cond != nil {
-		if ibp.condProg == nil {
-			if !rt.condTruthBits(ibp, ibp.cond) {
-				return false
-			}
-		} else {
-			v, err := rt.execCompiled(ibp.condProg, ibp.condPaths, ibp.condSlots)
-			if err != nil {
-				v, err = ibp.cond.Eval(ibp.pathResolver(rt))
-			}
-			if err != nil {
-				if !rt.condTruthBits(ibp, ibp.cond) {
-					return false
-				}
-			} else if !v.IsTrue() {
-				return false
-			}
-		}
-	}
-	return true
+	return rt.condTruthBits(ibp, n)
 }
 
 // condTruthBits evaluates one condition tree with the general

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/val"
 	"repro/internal/vpi"
@@ -22,18 +21,18 @@ type Watchpoint struct {
 	// Expr is the watched expression source.
 	Expr string
 
-	node expr.Node // tree-walk reference form
+	node expr.Node // parsed form, walked by the general evaluator
 	// Compiled pipeline state, mirroring insertedBP: the expression as
 	// a register program, its dependency paths in prog.Deps order, and
 	// the dependencies' prefetch-cache slots.
 	prog   *expr.Program
 	paths  []string
-	pathOf map[string]string // name → sim path, for tree-walk fallback
+	pathOf map[string]string // name → sim path, for the general evaluator
 	slots  []int
 
 	// last is the previous value in the four-state plane; two-state
 	// results are lifted into it so the change compare is uniform
-	// across the compiled, tree-walk, and general paths.
+	// across the compiled and general paths.
 	last  val.Bits
 	armed bool
 	// fusedID is this watch's condition id in the whole-schedule fused
@@ -121,24 +120,13 @@ func (rt *Runtime) Watches() []*Watchpoint {
 }
 
 // eval executes the compiled watch program against the per-cycle
-// prefetch cache; on an operand-fetch failure the tree-walk reference
-// decides, and when that fails too (x/z bits, >64-bit signals) the
-// general four-state evaluator is the final authority — the same
-// degradation chain as evalBP. Watches run on the simulation
-// goroutine only.
+// prefetch cache; when there is no program, or it fails (an operand
+// that cannot be fetched, x/z bits, >64-bit signals), the general
+// four-state evaluator is the authority — the same chain as evalBP.
+// Watches run on the simulation goroutine only.
 func (w *Watchpoint) eval(rt *Runtime) (val.Bits, error) {
 	if w.prog != nil && !rt.generalEval.Load() {
-		v, err := rt.execCompiled(w.prog, w.paths, w.slots)
-		if err == nil {
-			return v.ToBits(), nil
-		}
-		v, err = w.node.Eval(expr.ResolverFunc(func(name string) (eval.Value, error) {
-			if full, ok := w.pathOf[name]; ok {
-				return rt.backend.GetValue(full)
-			}
-			return eval.Value{}, fmt.Errorf("core: watch: unresolved %q", name)
-		}))
-		if err == nil {
+		if v, err := rt.execCompiled(w.prog, w.paths, w.slots); err == nil {
 			return v.ToBits(), nil
 		}
 	}

@@ -15,7 +15,7 @@ package eval
 // segment it occurs in plus the conditions that read the poisoned
 // shared register — those conditions report !ok and the scheduler falls
 // back to the exact per-condition path, keeping fused scheduling
-// bit-identical to per-group evaluation.
+// bit-identical to per-condition evaluation.
 
 // Segment is one independently executable slice of a fused program:
 // Code[Start:End) computes one value into the Result register. Ops
@@ -41,20 +41,19 @@ type MultiProg struct {
 	NumRegs     int
 	NumShared   int
 	NumOperands int
-	// Shared are the CSE prelude segments, run once per edge on the
-	// scheduling goroutine before any condition executes.
+	// Shared are the CSE prelude segments, run once per edge before any
+	// condition executes.
 	Shared []Segment
 	// Conds are the per-condition segments; Conds[i] computes condition
-	// i's value. Any contiguous range can run on any goroutine given a
-	// private FusedMachine and the prelude's shared values.
+	// i's value from operands and the prelude's shared registers.
 	Conds []Segment
 }
 
 // FusedMachine executes fused programs. Like Machine it owns a reusable
-// register file, so steady-state execution allocates nothing, and it is
-// not safe for concurrent use: a goroutine running a condition range
-// needs its own machine, into which ExecConds copies the prelude's
-// shared values.
+// register file, so steady-state execution allocates nothing; the
+// prelude's shared values live in that register file from ExecShared
+// until the conditions read them in ExecConds. It is not safe for
+// concurrent use.
 type FusedMachine struct {
 	regs []Value
 	args [2]Value
@@ -84,13 +83,13 @@ func segOK(seg *Segment, opsOK, sharedOK []bool) bool {
 	return true
 }
 
-// ExecShared runs the shared prelude segments in order, writing each
-// segment's value into sharedVals and its soundness into sharedOK (both
-// at least NumShared long). A poisoned segment — failed operand, failed
-// dependency, or an execution error — leaves sharedOK false and later
-// segments reading it are poisoned transitively; independent segments
-// still run. Call once per edge before any ExecConds.
-func (m *FusedMachine) ExecShared(p *MultiProg, operands []Value, opsOK []bool, sharedVals []Value, sharedOK []bool) {
+// ExecShared runs the shared prelude segments in order, leaving each
+// segment's value in the machine's shared register and its soundness in
+// sharedOK (at least NumShared long). A poisoned segment — failed
+// operand, failed dependency, or an execution error — leaves sharedOK
+// false and later segments reading it are poisoned transitively;
+// independent segments still run. Call once per edge before ExecConds.
+func (m *FusedMachine) ExecShared(p *MultiProg, operands []Value, opsOK []bool, sharedOK []bool) {
 	regs := m.ensure(p)
 	for i := range p.Shared {
 		seg := &p.Shared[i]
@@ -102,26 +101,23 @@ func (m *FusedMachine) ExecShared(p *MultiProg, operands []Value, opsOK []bool, 
 			sharedOK[i] = false
 			continue
 		}
-		sharedVals[i] = regs[seg.Result]
 		sharedOK[i] = true
 	}
 }
 
-// ExecConds runs condition segments [from, to), writing results[i] and
-// resultOK[i] for each condition i in the range. skip is an optional
-// packed bitmap over condition ids (bit i set = condition i is provably
-// unchanged since its last miss): skipped conditions are not executed
-// and their result entries are left untouched — the scheduler's own
-// skip state decides what a masked condition means. A condition with a
-// failed operand, a poisoned shared dependency, or an execution error
-// reports resultOK false; the caller must then evaluate it by the exact
-// per-condition path. sharedVals/sharedOK come from ExecShared;
-// distinct machines may execute disjoint ranges concurrently as long as
-// results/resultOK writes land in disjoint indexes.
-func (m *FusedMachine) ExecConds(p *MultiProg, operands []Value, opsOK []bool, sharedVals []Value, sharedOK []bool, from, to int, skip []uint64, results []Value, resultOK []bool) {
+// ExecConds runs every condition segment, writing results[i] and
+// resultOK[i] for each condition i. It reads the shared registers the
+// same machine's ExecShared left behind; sharedOK comes from that call.
+// skip is an optional packed bitmap over condition ids (bit i set =
+// condition i is provably unchanged since its last miss): skipped
+// conditions are not executed and their result entries are left
+// untouched — the scheduler's own skip state decides what a masked
+// condition means. A condition with a failed operand, a poisoned shared
+// dependency, or an execution error reports resultOK false; the caller
+// must then evaluate it by the exact per-condition path.
+func (m *FusedMachine) ExecConds(p *MultiProg, operands []Value, opsOK []bool, sharedOK []bool, skip []uint64, results []Value, resultOK []bool) {
 	regs := m.ensure(p)
-	copy(regs[:p.NumShared], sharedVals[:p.NumShared])
-	for ci := from; ci < to; ci++ {
+	for ci := range p.Conds {
 		if skip != nil && skip[ci>>6]&(1<<(uint(ci)&63)) != 0 {
 			continue
 		}

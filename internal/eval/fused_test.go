@@ -49,12 +49,11 @@ func fusedFixture() *MultiProg {
 
 func runFixture(p *MultiProg, operands []Value, opsOK []bool, skip []uint64) ([]Value, []bool) {
 	var m FusedMachine
-	sharedVals := make([]Value, p.NumShared)
 	sharedOK := make([]bool, p.NumShared)
 	results := make([]Value, len(p.Conds))
 	resultOK := make([]bool, len(p.Conds))
-	m.ExecShared(p, operands, opsOK, sharedVals, sharedOK)
-	m.ExecConds(p, operands, opsOK, sharedVals, sharedOK, 0, len(p.Conds), skip, results, resultOK)
+	m.ExecShared(p, operands, opsOK, sharedOK)
+	m.ExecConds(p, operands, opsOK, sharedOK, skip, results, resultOK)
 	return results, resultOK
 }
 
@@ -114,15 +113,14 @@ func TestFusedExecZeroAllocs(t *testing.T) {
 	opsOK := []bool{true, true, true}
 	skip := []uint64{0b100}
 	var m FusedMachine
-	sharedVals := make([]Value, p.NumShared)
 	sharedOK := make([]bool, p.NumShared)
 	results := make([]Value, len(p.Conds))
 	resultOK := make([]bool, len(p.Conds))
 	// Warm the register file outside the measured runs.
-	m.ExecShared(p, ops, opsOK, sharedVals, sharedOK)
+	m.ExecShared(p, ops, opsOK, sharedOK)
 	allocs := testing.AllocsPerRun(200, func() {
-		m.ExecShared(p, ops, opsOK, sharedVals, sharedOK)
-		m.ExecConds(p, ops, opsOK, sharedVals, sharedOK, 0, len(p.Conds), skip, results, resultOK)
+		m.ExecShared(p, ops, opsOK, sharedOK)
+		m.ExecConds(p, ops, opsOK, sharedOK, skip, results, resultOK)
 	})
 	if allocs != 0 {
 		t.Fatalf("fused execution allocates %.1f per edge, want 0", allocs)

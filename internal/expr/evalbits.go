@@ -9,8 +9,10 @@ import (
 )
 
 // This file is the general four-state evaluator: the tree-walk the
-// debugger falls back to when a condition touches an unknown (x/z) or
-// wider-than-64-bit signal, or uses a literal only val.Bits can hold.
+// debugger falls back to whenever a compiled condition is missing or
+// fails — an operand that cannot be fetched (its short-circuit then
+// decides whether the name matters), an unknown (x/z) or
+// wider-than-64-bit signal, or a literal only val.Bits can hold.
 //
 // Bit-identity with the two-state fast path is by construction, not by
 // testing alone: every node evaluates its children first, and when all

@@ -172,6 +172,7 @@ func (s *Server) broadcastStopLocked(ev *core.StopEvent) uint64 {
 			}
 		}
 		if s.enqueueFrameLocked(sess, f) {
+			sess.stop = ev
 			if f == full {
 				sess.fullFrames.Add(1)
 			} else {
@@ -195,6 +196,7 @@ func (s *Server) replayStopLocked(sess *Session, ev *core.StopEvent) bool {
 		return false
 	}
 	sess.fullFrames.Add(1)
+	sess.stop = ev
 	s.recordStopLocked(s.seq, ev)
 	return true
 }

@@ -274,6 +274,67 @@ func TestControllerDropDuringStopPromotesObserver(t *testing.T) {
 	}
 }
 
+// TestPromotedSessionSeesEachStopOnce: a session promoted while the
+// simulation is parked must receive every stop exactly once. The
+// observer already holds the parked stop when the controller leaves,
+// so promotion must not send it again: a client that answers each
+// stop with continue would otherwise resume a stop the simulation has
+// not reached yet.
+func TestPromotedSessionSeesEachStopOnce(t *testing.T) {
+	addr, s, incLine, srv := startServerFull(t)
+	ctrl := dialClient(t, addr)
+	obs := dialClient(t, addr)
+	if _, err := ctrl.AddBreakpoint("server_test.go", incLine, ""); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Poke("Counter.en", 1)
+		s.Run(4)
+	}()
+	if _, err := ctrl.WaitStop(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.WaitStop(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	received := 1
+	ctrl.Close()
+	if _, err := obs.WaitEvent("control", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for finished := false; !finished; {
+		if err := obs.Command("continue"); err != nil {
+			t.Fatalf("stop %d was not answerable: %v", received, err)
+		}
+		// Wait for the next stop, or for the run to end.
+		for {
+			if _, err := obs.WaitStop(20 * time.Millisecond); err == nil {
+				received++
+				break
+			}
+			select {
+			case <-done:
+				finished = true
+			case <-deadline:
+				t.Fatal("simulation stuck after promotion")
+			default:
+				continue
+			}
+			break
+		}
+	}
+	// A phantom stop queued after the run ended would surface here.
+	if _, err := obs.WaitStop(100 * time.Millisecond); err == nil {
+		received++
+	}
+	if _, stops := srv.Runtime().Stats(); uint64(received) != stops {
+		t.Fatalf("promoted session received %d stops, simulation made %d", received, stops)
+	}
+}
+
 // TestSlowObserverDoesNotBlockSimulation: an observer that never
 // reads its socket must not stall the simulation — stop broadcasts
 // drop at its queue instead of blocking the clock callback.

@@ -459,16 +459,17 @@ func (s *Server) promoteLocked(exclude int64) int64 {
 		}
 		heir := s.sessions[id]
 		// A session promoted while the simulation is parked at a stop
-		// must know about it — its own copy of the broadcast may have
-		// been coalesced away, and the sim now waits on this session's
-		// command. The replay is load-bearing; a sim-state enqueue
-		// always lands, so only a candidate whose connection is already
-		// dead is skipped (the next in line is tried). A duplicate stop
-		// is cosmetic; a missing one wedges the simulation.
+		// must know about it: the sim now waits on this session's
+		// command. A sim-state enqueue always lands, so only a candidate
+		// whose connection is already dead is skipped (the next in line
+		// is tried). The stop is replayed only to an heir that never got
+		// it: a duplicate would look like a second stop, and a client
+		// answering it with continue would resume a stop the simulation
+		// has not reached yet.
 		if heir.dead.Load() {
 			continue
 		}
-		if s.currentStop != nil && !s.replayStopLocked(heir, s.currentStop) {
+		if s.currentStop != nil && heir.stop != s.currentStop && !s.replayStopLocked(heir, s.currentStop) {
 			continue
 		}
 		heir.role = proto.RoleController

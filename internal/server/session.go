@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ws"
 )
 
@@ -72,6 +73,11 @@ type Session struct {
 
 	// role is guarded by srv.mu (arbitration is server-global state).
 	role string
+	// stop is the newest stop event queued to this session, guarded by
+	// srv.mu. A queued stop can only be superseded by a newer state
+	// event, so while the simulation stays parked at that stop the
+	// session is known to hold it.
+	stop *core.StopEvent
 
 	// binary/delta record the wire negotiation made at attach
 	// (?enc=binary, ?delta=1); immutable afterwards.
