@@ -25,7 +25,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -72,22 +71,10 @@ func main() {
 
 	// A pre-indexed store opens in O(header); anything else is raw VCD
 	// text and takes the streaming parse path.
-	store, err := vcd.OpenStoreFile(*vcdPath, vcd.OpenOptions{BlockCacheBytes: *blockCache})
-	switch {
-	case err == nil:
-		log.Printf("opened pre-indexed store %s (no text scan)", *vcdPath)
-	case errors.Is(err, vcd.ErrNotStore):
-		vf, err := os.Open(*vcdPath)
-		if err != nil {
-			log.Fatalf("hgdb-replay: %v", err)
-		}
-		store, err = vcd.ParseStore(vf, vcd.StoreOptions{BlockSize: *block})
-		vf.Close()
-		if err != nil {
-			log.Fatalf("hgdb-replay: parse vcd: %v", err)
-		}
-	default:
-		log.Fatalf("hgdb-replay: open store: %v", err)
+	store, err := vcd.OpenTrace(*vcdPath, vcd.StoreOptions{BlockSize: *block},
+		vcd.OpenOptions{BlockCacheBytes: *blockCache})
+	if err != nil {
+		log.Fatalf("hgdb-replay: open trace %s: %v", *vcdPath, err)
 	}
 	defer store.Close()
 	sf, err := os.Open(*symtabPath)

@@ -349,67 +349,12 @@ func TestDualCoreThreads(t *testing.T) {
 	}
 }
 
-func TestReplayReverseAcrossCycles(t *testing.T) {
-	// Record a trace, then reverse-debug it.
-	d := buildCounterDesign(t, false)
-	var buf bytes.Buffer
-	rec := vcd.NewRecorder(d.sim, &buf)
-	d.sim.Reset("Counter.reset", 1)
-	d.sim.Poke("Counter.en", 1)
-	d.sim.Run(10)
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := vcd.Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := replay.New(tr)
-	rt, err := New(eng, d.table)
-	if err != nil {
-		t.Fatalf("runtime over replay: %v", err)
-	}
-	rt.AddBreakpoint("core_test.go", d.incLine, "")
-	var stops []struct {
-		time  uint64
-		count uint64
-	}
-	rt.SetHandler(func(ev *StopEvent) Command {
-		var cnt uint64
-		for _, v := range ev.Threads[0].Locals {
-			if v.Name == "count" {
-				cnt = v.Value
-			}
-		}
-		stops = append(stops, struct{ time, count uint64 }{ev.Time, cnt})
-		// Keep reverse-stepping until execution crosses the cycle
-		// boundary (intra-cycle steps first, then SetTime rewinds).
-		if len(stops) < 8 && ev.Time == stops[0].time {
-			return CmdReverseStep
-		}
-		return CmdDetach
-	})
-	// Jump into the middle of the trace and fire the schedule there.
-	eng.SetTime(5)
-	eng.StepForward() // evaluates at t=6
-	if len(stops) < 2 {
-		t.Fatalf("stops = %+v", stops)
-	}
-	last := stops[len(stops)-1]
-	if last.time >= stops[0].time {
-		t.Fatalf("reverse never crossed the cycle boundary: %+v", stops)
-	}
-	if last.count >= stops[0].count {
-		t.Fatalf("reverse did not observe earlier state: %+v", stops)
-	}
-}
-
-// TestReplayReverseAcrossCyclesCheckpointed is the block-store twin of
-// TestReplayReverseAcrossCycles: the same reverse schedule, driven
-// through the checkpointed engine. It also checks the Prefetcher wiring
-// — arming the breakpoint must materialize the dependency union in the
-// store — and that crossing cycle boundaries backwards left restore
-// points behind.
+// TestReplayReverseAcrossCyclesCheckpointed records a trace, then
+// reverse-debugs it through the checkpointed replay engine: reverse
+// steps must cross the cycle boundary and observe earlier state. It
+// also checks the Prefetcher wiring — arming the breakpoint must
+// materialize the dependency union in the store — and that crossing
+// cycle boundaries backwards left restore points behind.
 func TestReplayReverseAcrossCyclesCheckpointed(t *testing.T) {
 	d := buildCounterDesign(t, false)
 	var buf bytes.Buffer

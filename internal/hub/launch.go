@@ -2,9 +2,7 @@ package hub
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -90,15 +88,7 @@ func buildReplay(spec proto.RuntimeSpec, cache *symtab.Cache) (*built, error) {
 	if spec.VCD == "" || spec.Symtab == "" {
 		return nil, fmt.Errorf("hub: replay runtimes need vcd and symtab paths")
 	}
-	store, err := vcd.OpenStoreFile(spec.VCD, vcd.OpenOptions{})
-	if errors.Is(err, vcd.ErrNotStore) {
-		f, ferr := os.Open(spec.VCD)
-		if ferr != nil {
-			return nil, fmt.Errorf("hub: %w", ferr)
-		}
-		store, err = vcd.ParseStore(f, vcd.StoreOptions{})
-		f.Close()
-	}
+	store, err := vcd.OpenTrace(spec.VCD, vcd.StoreOptions{}, vcd.OpenOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("hub: open trace %s: %w", spec.VCD, err)
 	}

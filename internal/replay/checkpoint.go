@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/rtl"
 	"repro/internal/val"
 	"repro/internal/vcd"
 )
@@ -60,17 +59,18 @@ type snapshot struct {
 	cur   vcd.Cursor
 }
 
-// storeBacking implements backing over a vcd.Store.
+// storeBacking is the replay state behind an Engine: value queries at
+// an arbitrary time over a vcd.Store. The Engine owns time itself,
+// clock-edge callbacks, and the vpi surface.
 type storeBacking struct {
 	st       *vcd.Store
 	interval uint64
 
-	// mu guards the mutable replay state below. Unlike the seed's
-	// immutable trace, syncing moves shared state, and the debug server
-	// dispatches raw get_value reads on connection goroutines while the
-	// simulation goroutine replays — both can land in sync at once.
-	// Materialized reads never take the lock; they see an immutable
-	// timeline.
+	// mu guards the mutable replay state below. Syncing moves shared
+	// state, and the debug server dispatches raw get_value reads on
+	// connection goroutines while the simulation goroutine replays —
+	// both can land in sync at once. Materialized reads never take the
+	// lock; they see an immutable timeline.
 	mu sync.Mutex
 
 	// Replay state: the packed four-state planes of every signal at
@@ -133,9 +133,6 @@ func (sb *storeBacking) resetToZero() {
 	sb.stateTime = 0
 }
 
-func (sb *storeBacking) maxTime() uint64              { return sb.st.MaxTime }
-func (sb *storeBacking) hierarchy() *rtl.InstanceNode { return sb.st.Hierarchy }
-
 func (sb *storeBacking) checkpoints() int {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -144,6 +141,9 @@ func (sb *storeBacking) checkpoints() int {
 
 func (sb *storeBacking) prefetch(paths []string) { sb.st.Materialize(paths...) }
 
+// trackChanges registers the dirty-set watch list; changedInto then
+// reports, for each tracked path, whether it may have changed since
+// the previous poll (the vpi.ChangeReporter capability at time t).
 func (sb *storeBacking) trackChanges(paths []string) {
 	if sb.trSlot == nil && len(paths) > 0 {
 		sb.trSlot = make([]int32, sb.st.NumSignals())
@@ -211,6 +211,10 @@ func (sb *storeBacking) changedInto(t uint64, dst []bool) bool {
 	return true
 }
 
+// bits returns the signal's recorded four-state value at time t —
+// traces are the one backend whose native value plane really is
+// four-state; the Engine lowers it onto the two-state vpi surface
+// where possible.
 func (sb *storeBacking) bits(path string, t uint64) (val.Bits, error) {
 	ts, ok := sb.st.Signal(path)
 	if !ok {

@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,47 +25,40 @@ func storeEngine(t testing.TB, data []byte, interval uint64) *Engine {
 
 // TestStoreEngineDifferential is the reverse-SetTime correctness
 // contract: across random time jumps (forward and backward), the
-// checkpointed store engine must return bit-identical values to the
-// seed eager-trace implementation for every signal — with none, some,
-// and all signals materialized.
+// checkpointed store engine must return the values the simulator
+// reported for every signal — with none, some, and all signals
+// materialized.
 func TestStoreEngineDifferential(t *testing.T) {
-	data := makeVCD(t)
-	seed := New(makeTrace(t))
+	data, truth := makeRecording(t)
 	eng := storeEngine(t, data, 3)
-	names := func() []string {
-		tr, _ := vcd.Parse(bytes.NewReader(data))
-		return tr.SignalNames()
-	}()
+	randomJumps(t, eng, truth, 42)
+}
 
-	rng := rand.New(rand.NewSource(42))
-	max := seed.MaxTime()
-	if max != eng.MaxTime() {
-		t.Fatalf("MaxTime: store %d, seed %d", eng.MaxTime(), max)
+// randomJumps seeks eng to 200 random times and compares every
+// signal against the truth table, materializing half the signals at
+// jump 66 and all of them at jump 133.
+func randomJumps(t *testing.T, eng *Engine, truth *truthTable, seed int64) {
+	t.Helper()
+	names := truth.names()
+	rng := rand.New(rand.NewSource(seed))
+	max := eng.MaxTime()
+	if max != truth.maxTime {
+		t.Fatalf("MaxTime: engine %d, simulation %d", max, truth.maxTime)
 	}
-	compareAll := func(jump int) {
+	for jump := 0; jump < 200; jump++ {
+		tm := uint64(rng.Int63n(int64(max + 1)))
+		if err := eng.SetTime(tm); err != nil {
+			t.Fatal(err)
+		}
 		for _, name := range names {
-			want, err := seed.GetValue(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := eng.GetValue(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("jump %d: %s@%d = %v, want %v", jump, name, eng.Time(), got, want)
+			if want := truth.valueAt(name, tm); got.Bits != want {
+				t.Fatalf("jump %d: %s@%d = %d, want %d", jump, name, tm, got.Bits, want)
 			}
 		}
-	}
-	for jump := 0; jump < 200; jump++ {
-		tm := uint64(rng.Int63n(int64(max + 1)))
-		if err := seed.SetTime(tm); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.SetTime(tm); err != nil {
-			t.Fatal(err)
-		}
-		compareAll(jump)
 		switch jump {
 		case 66:
 			// Materialize part of the signal set mid-run; answers from
@@ -102,91 +96,42 @@ func diskStoreEngine(t testing.TB, data []byte, interval uint64) *Engine {
 
 // TestDiskStoreEngineDifferential runs the full replay contract over a
 // disk-opened store: random forward/backward jumps, partial and full
-// materialization, and checkpointed reverse seeks must all be
-// bit-identical to the seed eager-trace engine — proving the replay
-// and checkpoint machinery runs unchanged over the on-disk format.
+// materialization, and checkpointed reverse seeks must all return the
+// values the simulator reported — proving the replay and checkpoint
+// machinery runs unchanged over the on-disk format.
 func TestDiskStoreEngineDifferential(t *testing.T) {
-	data := makeVCD(t)
-	seed := New(makeTrace(t))
+	data, truth := makeRecording(t)
 	eng := diskStoreEngine(t, data, 3)
-	names := func() []string {
-		tr, _ := vcd.Parse(bytes.NewReader(data))
-		return tr.SignalNames()
-	}()
-	rng := rand.New(rand.NewSource(7))
-	max := seed.MaxTime()
-	if max != eng.MaxTime() {
-		t.Fatalf("MaxTime: disk store %d, seed %d", eng.MaxTime(), max)
-	}
-	for jump := 0; jump < 200; jump++ {
-		tm := uint64(rng.Int63n(int64(max + 1)))
-		if err := seed.SetTime(tm); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.SetTime(tm); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			want, err := seed.GetValue(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.GetValue(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("jump %d: %s@%d = %v, want %v", jump, name, eng.Time(), got, want)
-			}
-		}
-		switch jump {
-		case 66:
-			eng.Prefetch(names[:len(names)/2])
-		case 133:
-			eng.Prefetch(names)
-		}
-	}
-	if eng.Checkpoints() == 0 {
-		t.Fatal("no checkpoints created across 200 random jumps")
-	}
+	randomJumps(t, eng, truth, 7)
 }
 
-// TestStoreEngineStepsMatchSeed runs the two engines through the same
-// forward/backward step sequence and compares values and callback
-// times at every point.
+// TestStoreEngineStepsMatchSeed runs the store engine through a
+// forward/backward step sequence and checks, at every point, the
+// step's verdict, the callback time and the value against the
+// simulation's truth table.
 func TestStoreEngineStepsMatchSeed(t *testing.T) {
-	data := makeVCD(t)
-	seed := New(makeTrace(t))
+	data, truth := makeRecording(t)
 	eng := storeEngine(t, data, 4)
-	var seedTimes, engTimes []uint64
-	seed.OnClockEdge(func(tm uint64) { seedTimes = append(seedTimes, tm) })
+	var engTimes, wantTimes []uint64
 	eng.OnClockEdge(func(tm uint64) { engTimes = append(engTimes, tm) })
-	step := func(fwd bool) {
-		var a, b bool
-		if fwd {
-			a, b = seed.StepForward(), eng.StepForward()
-		} else {
-			a, b = seed.StepBackward(), eng.StepBackward()
-		}
-		if a != b {
-			t.Fatalf("step(fwd=%v) diverged: seed %v, store %v", fwd, a, b)
-		}
-		v1, err1 := seed.GetValue("Counter.count")
-		v2, err2 := eng.GetValue("Counter.count")
-		if err1 != nil || err2 != nil || v1 != v2 {
-			t.Fatalf("count@%d: seed %v (%v), store %v (%v)", seed.Time(), v1, err1, v2, err2)
-		}
-	}
 	for _, fwd := range []bool{true, true, true, true, true, false, false, true, false, true} {
-		step(fwd)
-	}
-	if len(seedTimes) != len(engTimes) {
-		t.Fatalf("callback counts: seed %d, store %d", len(seedTimes), len(engTimes))
-	}
-	for i := range seedTimes {
-		if seedTimes[i] != engTimes[i] {
-			t.Fatalf("callback[%d]: seed %d, store %d", i, seedTimes[i], engTimes[i])
+		want := eng.Time() + 1
+		ok := eng.StepForward
+		if !fwd {
+			want = eng.Time() - 1
+			ok = eng.StepBackward
 		}
+		if !ok() {
+			t.Fatalf("step(fwd=%v) from %d refused", fwd, eng.Time())
+		}
+		wantTimes = append(wantTimes, want)
+		v, err := eng.GetValue("Counter.count")
+		if err != nil || v.Bits != truth.valueAt("Counter.count", want) {
+			t.Fatalf("count@%d = %v (%v), want %d", want, v, err, truth.valueAt("Counter.count", want))
+		}
+	}
+	if !slices.Equal(engTimes, wantTimes) {
+		t.Fatalf("callback times %v, want %v", engTimes, wantTimes)
 	}
 }
 
@@ -212,9 +157,9 @@ func TestStoreEngineBatchZeroAlloc(t *testing.T) {
 // TestStoreEngineInitialValues pins time-zero semantics: real
 // simulator output dumps nonzero initial values at #0 ($dumpvars), and
 // the store engine must return them — at first read, and again after
-// seeking away and back — identically to the seed engine. The repo's
-// own Recorder happens to dump zeros at #0, which is why the random
-// differential test alone cannot catch this.
+// seeking away and back. The repo's own Recorder happens to dump zeros
+// at #0, which is why the random differential test alone cannot catch
+// this.
 func TestStoreEngineInitialValues(t *testing.T) {
 	const trace = `$scope module Top $end
 $var wire 1 ! rst $end
@@ -230,29 +175,21 @@ b110 "
 #4
 b111 "
 `
-	seed := New(func() *vcd.Trace {
-		tr, err := vcd.Parse(bytes.NewReader([]byte(trace)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}())
+	want := map[string][]uint64{ // value at t = 0..4
+		"Top.rst": {1, 1, 0, 0, 0},
+		"Top.v":   {5, 5, 6, 6, 7},
+	}
 	eng := storeEngine(t, []byte(trace), 2)
 	check := func(when string) {
-		for _, tm := range []uint64{0, 1, 2, 3, 4} {
-			seed.SetTime(tm)
+		for tm := range uint64(5) {
 			eng.SetTime(tm)
-			for _, name := range []string{"Top.rst", "Top.v"} {
-				want, err := seed.GetValue(name)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for name, vals := range want {
 				got, err := eng.GetValue(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Fatalf("%s: %s@%d = %v, want %v", when, name, tm, got, want)
+				if got.Bits != vals[tm] {
+					t.Fatalf("%s: %s@%d = %d, want %d", when, name, tm, got.Bits, vals[tm])
 				}
 			}
 		}
@@ -362,20 +299,16 @@ b11 !
 // shape: the simulation goroutine sweeps replay state forward and
 // backward while server connection goroutines issue raw get_value
 // reads and a breakpoint arm materializes the dependency union
-// mid-flight. Values must stay bit-identical to the seed engine
+// mid-flight. Values must match the simulation's truth table
 // throughout; run with -race to catch reader/sync races.
 func TestStoreEngineConcurrentReads(t *testing.T) {
-	data := makeVCD(t)
+	data, truth := makeRecording(t)
 	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{BlockSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb := newStoreBacking(st, WithCheckpointInterval(2))
-	seed := New(makeTrace(t))
-	names := func() []string {
-		tr, _ := vcd.Parse(bytes.NewReader(data))
-		return tr.SignalNames()
-	}()
+	names := truth.names()
 	max := st.MaxTime
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -390,12 +323,7 @@ func TestStoreEngineConcurrentReads(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				ref, ok := seedSignal(seed, name)
-				if !ok {
-					t.Errorf("seed trace missing %s", name)
-					return
-				}
-				if want := ref.ValueAt(tm); got.V0 != want {
+				if want := truth.valueAt(name, tm); got.V0 != want {
 					t.Errorf("%s@%d = %d, want %d", name, tm, got.V0, want)
 					return
 				}
@@ -408,18 +336,13 @@ func TestStoreEngineConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
-// seedSignal resolves a signal on the eager reference engine's trace.
-func seedSignal(e *Engine, name string) (*vcd.TraceSignal, bool) {
-	return e.src.(*traceBacking).trace.Signal(name)
-}
-
 // TestStoreEngineReverseUsesCheckpoints checks the mechanism (not just
 // the answers): after a forward sweep, a backward seek restores from a
 // snapshot rather than replaying from zero — observable as checkpoint
 // population plus correct unmaterialized reads straight after the
 // restore.
 func TestStoreEngineReverseUsesCheckpoints(t *testing.T) {
-	data := makeVCD(t)
+	data, truth := makeRecording(t)
 	eng := storeEngine(t, data, 2)
 	// Forward sweep with an unmaterialized read each cycle populates
 	// every boundary snapshot.
@@ -432,17 +355,14 @@ func TestStoreEngineReverseUsesCheckpoints(t *testing.T) {
 	if got := eng.Checkpoints(); got != want {
 		t.Fatalf("checkpoints after full sweep = %d, want %d", got, want)
 	}
-	seed := New(makeTrace(t))
 	for tm := int64(eng.MaxTime()); tm >= 0; tm-- {
 		eng.SetTime(uint64(tm))
-		seed.SetTime(uint64(tm))
 		got, err := eng.GetValue("Counter.count")
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantV, _ := seed.GetValue("Counter.count")
-		if got != wantV {
-			t.Fatalf("reverse read@%d = %v, want %v", tm, got, wantV)
+		if want := truth.valueAt("Counter.count", uint64(tm)); got.Bits != want {
+			t.Fatalf("reverse read@%d = %d, want %d", tm, got.Bits, want)
 		}
 	}
 }

@@ -5,16 +5,11 @@
 // debugging — stepping to previous clock cycles and re-running the
 // breakpoint schedule in reverse order (§3.2).
 //
-// Two trace representations are supported behind one Engine type:
-//
-//   - New wraps an eagerly parsed vcd.Trace (every signal's full
-//     timeline in memory) — simple, and the reference implementation
-//     the checkpointed path is differentially tested against.
-//   - NewStore wraps a vcd.Store block index: signal timelines decode
-//     lazily (Prefetch materializes the debugger's dependency union),
-//     and backward SetTime restores the nearest periodic value-snapshot
-//     checkpoint then replays forward deltas, making a reverse step
-//     O(checkpoint interval) instead of O(t) on undecoded state.
+// The trace is a vcd.Store block index: signal timelines decode lazily
+// (Prefetch materializes the debugger's dependency union), and
+// backward SetTime restores the nearest periodic value-snapshot
+// checkpoint then replays forward deltas, making a reverse step
+// O(checkpoint interval) instead of O(t) on undecoded state.
 package replay
 
 import (
@@ -28,31 +23,9 @@ import (
 	"repro/internal/vpi"
 )
 
-// backing is the trace representation behind an Engine. Implementations
-// answer value queries at an arbitrary time; the Engine owns time
-// itself, clock-edge callbacks, and the vpi surface.
-type backing interface {
-	maxTime() uint64
-	hierarchy() *rtl.InstanceNode
-	// bits returns the signal's recorded four-state value at time t —
-	// traces are the one backend whose native value plane really is
-	// four-state. The Engine lowers it onto the two-state vpi surface
-	// where possible.
-	bits(path string, t uint64) (val.Bits, error)
-	// prefetch advises which paths will be read every cycle.
-	prefetch(paths []string)
-	// checkpoints reports how many restore points exist (stats).
-	checkpoints() int
-	// trackChanges registers the dirty-set watch list and changedInto
-	// reports, for each tracked path, whether it may have changed since
-	// the previous poll (the vpi.ChangeReporter capability at time t).
-	trackChanges(paths []string)
-	changedInto(t uint64, dst []bool) bool
-}
-
 // Engine replays a VCD trace behind the vpi.Interface.
 type Engine struct {
-	src backing
+	src *storeBacking
 	// time is atomic because the debug server dispatches raw reads on
 	// connection goroutines while the owning goroutine steps/seeks; a
 	// batched read loads it once so one batch sees one instant.
@@ -71,86 +44,22 @@ var (
 	_ vpi.BitsReader      = (*Engine)(nil)
 )
 
-// traceBacking adapts an eager vcd.Trace: every query is a binary
-// search over the signal's fully materialized timeline.
-type traceBacking struct {
-	trace *vcd.Trace
-
-	// Dirty-set tracking: per tracked signal, the change count at the
-	// last poll time. Equal counts at two instants bracket no change
-	// record, so the value is identical — which makes the stamp valid
-	// in both time directions (reverse debugging included).
-	tracked   []*vcd.TraceSignal // nil entries: unresolved paths
-	lastCount []int
-	fresh     bool
-}
-
-func (tb *traceBacking) maxTime() uint64              { return tb.trace.MaxTime }
-func (tb *traceBacking) hierarchy() *rtl.InstanceNode { return tb.trace.Hierarchy }
-func (tb *traceBacking) prefetch([]string)            {}
-func (tb *traceBacking) checkpoints() int             { return 0 }
-func (tb *traceBacking) bits(path string, t uint64) (val.Bits, error) {
-	ts, ok := tb.trace.Signal(path)
-	if !ok {
-		return val.Bits{}, fmt.Errorf("replay: unknown signal %q", path)
-	}
-	return ts.BitsAt(t), nil
-}
-
-func (tb *traceBacking) trackChanges(paths []string) {
-	tb.tracked = make([]*vcd.TraceSignal, len(paths))
-	tb.lastCount = make([]int, len(paths))
-	for i, p := range paths {
-		tb.tracked[i], _ = tb.trace.Signal(p)
-	}
-	tb.fresh = true
-}
-
-func (tb *traceBacking) changedInto(t uint64, dst []bool) bool {
-	if tb.tracked == nil || len(dst) < len(tb.tracked) {
-		return false
-	}
-	first := tb.fresh
-	tb.fresh = false
-	for i, ts := range tb.tracked {
-		if ts == nil {
-			dst[i] = true
-			continue
-		}
-		n := ts.ChangeCountAt(t)
-		dst[i] = first || n != tb.lastCount[i]
-		tb.lastCount[i] = n
-	}
-	return true
-}
-
-// New wraps an eagerly parsed trace.
-func New(trace *vcd.Trace) *Engine {
-	return newEngine(&traceBacking{trace: trace})
-}
-
 // NewStore wraps a block-store trace index with checkpointed state
 // reconstruction; see the package comment and WithCheckpointInterval.
 func NewStore(store *vcd.Store, opts ...StoreEngineOption) *Engine {
-	return newEngine(newStoreBacking(store, opts...))
-}
-
-func newEngine(src backing) *Engine {
-	return &Engine{src: src, callbacks: map[int]func(uint64){}}
+	return &Engine{src: newStoreBacking(store, opts...), callbacks: map[int]func(uint64){}}
 }
 
 // MaxTime returns the final timestamp in the trace.
-func (e *Engine) MaxTime() uint64 { return e.src.maxTime() }
+func (e *Engine) MaxTime() uint64 { return e.src.st.MaxTime }
 
 // Checkpoints returns how many value-snapshot restore points the
-// backend currently holds (always 0 for eager traces).
+// backend currently holds.
 func (e *Engine) Checkpoints() int { return e.src.checkpoints() }
 
 // TrackChanges implements vpi.ChangeReporter: registers the dirty-set
-// watch list with the trace backend. The eager backend answers polls
-// by change-count stamps on its decoded timelines; the block store
-// derives the per-edge change set from its change-record streams via a
-// resumable cursor.
+// watch list with the trace backend, which derives the per-edge change
+// set from the store's change-record streams via a resumable cursor.
 func (e *Engine) TrackChanges(paths []string) { e.src.trackChanges(paths) }
 
 // ChangedInto implements vpi.ChangeReporter at the current replay time.
@@ -221,14 +130,14 @@ func (e *Engine) GetValuesInto(paths []string, dst []eval.Value) error {
 // Hierarchy implements vpi.Interface with the scope tree reconstructed
 // from the trace (hierarchy only — no definition information, as the
 // paper notes for VCD).
-func (e *Engine) Hierarchy() *rtl.InstanceNode { return e.src.hierarchy() }
+func (e *Engine) Hierarchy() *rtl.InstanceNode { return e.src.st.Hierarchy }
 
 // ClockName implements vpi.Interface.
 func (e *Engine) ClockName() string {
-	if e.src.hierarchy() == nil {
+	if e.src.st.Hierarchy == nil {
 		return "clock"
 	}
-	return e.src.hierarchy().Path + ".clock"
+	return e.src.st.Hierarchy.Path + ".clock"
 }
 
 // OnClockEdge implements vpi.Interface.
@@ -256,11 +165,11 @@ func (e *Engine) Time() uint64 { return e.time.Load() }
 
 // SetTime implements vpi.Interface — the primitive that unlocks reverse
 // debugging. Seeking does not fire edge callbacks; use StepForward and
-// StepBackward to emulate clock edges. On a store backend a backward
-// seek costs O(checkpoint interval) trace records, not O(t).
+// StepBackward to emulate clock edges. A backward seek costs
+// O(checkpoint interval) trace records, not O(t).
 func (e *Engine) SetTime(t uint64) error {
-	if t > e.src.maxTime() {
-		return fmt.Errorf("replay: time %d beyond end of trace (%d)", t, e.src.maxTime())
+	if t > e.src.st.MaxTime {
+		return fmt.Errorf("replay: time %d beyond end of trace (%d)", t, e.src.st.MaxTime)
 	}
 	e.time.Store(t)
 	return nil
@@ -283,7 +192,7 @@ func (e *Engine) fire() {
 // false at the end of the trace.
 func (e *Engine) StepForward() bool {
 	t := e.time.Load()
-	if t >= e.src.maxTime() {
+	if t >= e.src.st.MaxTime {
 		return false
 	}
 	e.time.Store(t + 1)

@@ -15,8 +15,17 @@ import (
 )
 
 // makeVCD records the counter design for 10 cycles and returns the raw
-// VCD text, shared by the eager-trace and block-store engine tests.
+// VCD text.
 func makeVCD(t testing.TB) []byte {
+	t.Helper()
+	data, _ := makeRecording(t)
+	return data
+}
+
+// makeRecording records the counter design for 10 cycles and returns
+// the raw VCD text together with the simulator's own truth table of
+// the same run.
+func makeRecording(t testing.TB) ([]byte, *truthTable) {
 	t.Helper()
 	c := generator.NewCircuit("Counter")
 	m := c.NewModule("Counter")
@@ -38,26 +47,18 @@ func makeVCD(t testing.TB) []byte {
 	s := sim.New(nl)
 	var buf bytes.Buffer
 	rec := vcd.NewRecorder(s, &buf)
+	truth := recordTruth(s)
 	s.Reset("Counter.reset", 1)
 	s.Poke("Counter.en", 1)
 	s.Run(10)
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-func makeTrace(t testing.TB) *vcd.Trace {
-	t.Helper()
-	tr, err := vcd.Parse(bytes.NewReader(makeVCD(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return buf.Bytes(), truth
 }
 
 func TestReplayForwardMatchesRecording(t *testing.T) {
-	e := New(makeTrace(t))
+	e := storeEngine(t, makeVCD(t), 3)
 	// Walk forward; count increases by one per enabled cycle.
 	e.SetTime(2)
 	v2, err := e.GetValue("Counter.count")
@@ -72,7 +73,7 @@ func TestReplayForwardMatchesRecording(t *testing.T) {
 }
 
 func TestReverseTime(t *testing.T) {
-	e := New(makeTrace(t))
+	e := storeEngine(t, makeVCD(t), 3)
 	e.SetTime(8)
 	v8, _ := e.GetValue("Counter.count")
 	if !e.StepBackward() {
@@ -94,7 +95,7 @@ func TestReverseTime(t *testing.T) {
 }
 
 func TestStepForwardStopsAtEnd(t *testing.T) {
-	e := New(makeTrace(t))
+	e := storeEngine(t, makeVCD(t), 3)
 	e.SetTime(e.MaxTime())
 	if e.StepForward() {
 		t.Fatal("stepped past end of trace")
@@ -105,7 +106,7 @@ func TestStepForwardStopsAtEnd(t *testing.T) {
 }
 
 func TestCallbacksFireOnSteps(t *testing.T) {
-	e := New(makeTrace(t))
+	e := storeEngine(t, makeVCD(t), 3)
 	var times []uint64
 	id := e.OnClockEdge(func(tm uint64) { times = append(times, tm) })
 	e.Run(3)
@@ -124,7 +125,7 @@ func TestCallbacksFireOnSteps(t *testing.T) {
 }
 
 func TestSetValueUnsupported(t *testing.T) {
-	e := New(makeTrace(t))
+	e := storeEngine(t, makeVCD(t), 3)
 	err := e.SetValue("Counter.count", 1)
 	if !errors.Is(err, vpi.ErrNotSupported) {
 		t.Fatalf("err = %v, want ErrNotSupported", err)
@@ -132,14 +133,14 @@ func TestSetValueUnsupported(t *testing.T) {
 }
 
 func TestUnknownSignal(t *testing.T) {
-	e := New(makeTrace(t))
+	e := storeEngine(t, makeVCD(t), 3)
 	if _, err := e.GetValue("Counter.ghost"); err == nil {
 		t.Fatal("unknown signal accepted")
 	}
 }
 
 func TestHierarchyAndClock(t *testing.T) {
-	e := New(makeTrace(t))
+	e := storeEngine(t, makeVCD(t), 3)
 	if e.Hierarchy() == nil || e.Hierarchy().Name != "Counter" {
 		t.Fatalf("hierarchy = %+v", e.Hierarchy())
 	}

@@ -1,23 +1,21 @@
 package replay
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/vcd"
 	"repro/internal/vpi"
 )
 
-// reporterEngines builds the eager and store engines over the shared
-// counter trace, so every dirty-set contract below is checked against
-// both derivations (timeline change-count stamps vs block-record
-// cursor scans).
+// reporterEngines builds a parsed and a disk-opened store engine over
+// the shared counter trace, so every dirty-set contract below is
+// checked with resident blocks and with blocks loaded through the
+// on-disk cache.
 func reporterEngines(t *testing.T) map[string]*Engine {
 	t.Helper()
 	data := makeVCD(t)
 	return map[string]*Engine{
-		"eager": New(makeTrace(t)),
 		"store": storeEngine(t, data, 3),
+		"disk":  diskStoreEngine(t, data, 3),
 	}
 }
 
@@ -55,9 +53,9 @@ func TestChangeReporterBackwardCannotBound(t *testing.T) {
 			dst := make([]bool, 1)
 			e.SetTime(6)
 			e.ChangedInto(dst)
-			// Backward seek. The store cursor cannot scan backwards: it
-			// must answer "cannot bound" (the eager stamps can — either
-			// verdict is allowed, but a claimed bound must be correct).
+			// Backward seek. The store cursor cannot scan backwards, so
+			// it answers "cannot bound" — but whatever the verdict, a
+			// claimed bound must be correct.
 			e.SetTime(3)
 			ok := e.ChangedInto(dst)
 			if ok && !dst[0] {
@@ -112,15 +110,11 @@ func TestChangeReporterUnknownPathAndUnregistered(t *testing.T) {
 
 // TestChangeReporterMatchesValueDiff is the store-vs-truth property:
 // stepping the trace forward cycle by cycle, a signal reported clean
-// must have an unchanged value — checked for every signal in the trace
-// at once.
+// must have an unchanged value in the simulation's truth table —
+// checked for every signal in the trace at once.
 func TestChangeReporterMatchesValueDiff(t *testing.T) {
-	data := makeVCD(t)
-	tr, err := vcd.Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := tr.SignalNames()
+	_, truth := makeRecording(t)
+	names := truth.names()
 	for engName, e := range reporterEngines(t) {
 		t.Run(engName, func(t *testing.T) {
 			e.TrackChanges(names)
@@ -128,8 +122,7 @@ func TestChangeReporterMatchesValueDiff(t *testing.T) {
 			e.ChangedInto(dst) // consume registration report
 			prev := make([]uint64, len(names))
 			for i, n := range names {
-				ts, _ := tr.Signal(n)
-				prev[i] = ts.ValueAt(e.Time())
+				prev[i] = truth.valueAt(n, e.Time())
 			}
 			for e.Time() < e.MaxTime() {
 				e.SetTime(e.Time() + 1)
@@ -137,8 +130,7 @@ func TestChangeReporterMatchesValueDiff(t *testing.T) {
 					t.Fatalf("t=%d: forward poll not ok", e.Time())
 				}
 				for i, n := range names {
-					ts, _ := tr.Signal(n)
-					cur := ts.ValueAt(e.Time())
+					cur := truth.valueAt(n, e.Time())
 					if cur != prev[i] && !dst[i] {
 						t.Fatalf("t=%d: %s changed %d->%d but reported clean",
 							e.Time(), n, prev[i], cur)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
 
@@ -80,62 +81,47 @@ func TestBroadcastSharedFrame(t *testing.T) {
 }
 
 // TestBroadcastEncodeOnceAllocs is the alloc-pinned half of the
-// acceptance criterion: per stop broadcast, the shared-frame path must
-// allocate at least 5x less than the per-session-encode baseline at
-// the same fan-out. Deterministic — counts allocations, not time.
+// encode-once contract: a stop broadcast to 100 observers allocates as
+// many objects and bytes as one to a single observer — the frame is
+// encoded once and every further session only queues the shared
+// slice. Encoding per session would add an allocation and a frame per
+// observer. Deterministic — counts allocations, not time.
 func TestBroadcastEncodeOnceAllocs(t *testing.T) {
-	const observers = 100
-	measure := func(perSession bool) float64 {
+	const byteSlack = 64
+	// cost returns the allocations and bytes of the cheapest of 20
+	// single broadcasts. The minimum filters out one-off growth of the
+	// delta-base history and, under -race, the detector's random
+	// sync.Pool drops, leaving the steady-state cost.
+	cost := func(observers int) (allocs, bytes uint64) {
 		s, _ := fanoutServer(observers)
-		s.perSessionEncode = perSession
 		ev := fanoutStop(1) // built outside: only broadcast cost is measured
-		return testing.AllocsPerRun(50, func() {
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		var before, after runtime.MemStats
+		for range 20 {
+			runtime.ReadMemStats(&before)
 			s.mu.Lock()
 			s.broadcastStopLocked(ev)
 			s.mu.Unlock()
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 			// Drain so queues stay flat (coalescing keeps them at one
 			// entry anyway; popping allocates nothing).
 			for _, id := range s.order {
 				s.sessions[id].pop()
 			}
-		})
-	}
-	shared := measure(false)
-	baseline := measure(true)
-	t.Logf("allocs per stop broadcast at %d observers: shared=%.1f baseline=%.1f (%.1fx)",
-		observers, shared, baseline, baseline/shared)
-	if baseline < 5*shared {
-		t.Fatalf("shared-frame broadcast allocates %.1f/stop vs baseline %.1f — less than the required 5x margin",
-			shared, baseline)
-	}
-
-	// Same margin in allocated bytes, not just allocation count.
-	measureBytes := func(perSession bool) float64 {
-		s, _ := fanoutServer(observers)
-		s.perSessionEncode = perSession
-		ev := fanoutStop(1)
-		const rounds = 50
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			s.mu.Lock()
-			s.broadcastStopLocked(ev)
-			s.mu.Unlock()
-			for _, id := range s.order {
-				s.sessions[id].pop()
-			}
 		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+		return allocs, bytes
 	}
-	sharedB := measureBytes(false)
-	baselineB := measureBytes(true)
-	t.Logf("bytes allocated per stop broadcast at %d observers: shared=%.0f baseline=%.0f (%.1fx)",
-		observers, sharedB, baselineB, baselineB/sharedB)
-	if baselineB < 5*sharedB {
-		t.Fatalf("shared-frame broadcast allocates %.0fB/stop vs baseline %.0fB — less than the required 5x margin",
-			sharedB, baselineB)
+	oneA, oneB := cost(1)
+	manyA, manyB := cost(100)
+	t.Logf("per stop broadcast: 1 observer %d allocs / %d B, 100 observers %d allocs / %d B",
+		oneA, oneB, manyA, manyB)
+	if manyA != oneA {
+		t.Fatalf("allocs per stop depend on fan-out: %d at 100 observers vs %d at 1", manyA, oneA)
+	}
+	if manyB > oneB+byteSlack {
+		t.Fatalf("bytes per stop grow with fan-out: %d at 100 observers vs %d at 1", manyB, oneB)
 	}
 }
 

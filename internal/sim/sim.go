@@ -300,19 +300,18 @@ func (s *Simulator) RemoveCallback(id int) {
 
 // OnChange registers a hook observing committed value changes; used by
 // trace writers. Enabling change tracking costs one extra value
-// snapshot per cycle.
+// snapshot per cycle. The new hook first receives every signal's
+// tracking baseline — the values the next Step diffs against — so
+// every hook, however late it registers, sees one consistent stream.
 func (s *Simulator) OnChange(hook func(sig *rtl.Signal, v eval.Value)) {
 	s.changeHooks = append(s.changeHooks, hook)
 	if !s.trackChange {
 		s.trackChange = true
 		s.prev = make([]eval.Value, len(s.state.Values))
 		copy(s.prev, s.state.Values)
-		// Report initial values.
-		for _, sig := range s.nl.Signals {
-			for _, h := range s.changeHooks {
-				h(sig, s.state.Values[sig.Index])
-			}
-		}
+	}
+	for _, sig := range s.nl.Signals {
+		hook(sig, s.prev[sig.Index])
 	}
 }
 

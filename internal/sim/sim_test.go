@@ -281,8 +281,10 @@ func TestOnChangeHook(t *testing.T) {
 	nl := elaborate(t, buildCounter(), false)
 	s := New(nl)
 	changes := map[string]int{}
+	last := map[string]uint64{}
 	s.OnChange(func(sig *rtl.Signal, v eval.Value) {
 		changes[sig.Name]++
+		last[sig.Name] = v.Bits
 	})
 	// Initial values reported for every signal.
 	if changes["Counter.count"] != 1 {
@@ -294,5 +296,17 @@ func TestOnChangeHook(t *testing.T) {
 	// count changes every cycle while enabled.
 	if changes["Counter.count"] < 3 {
 		t.Fatalf("count changes = %d, want >= 3", changes["Counter.count"])
+	}
+	// A hook added after tracking started first receives, for every
+	// signal, the last value the earlier hook was told about.
+	late := map[string]uint64{}
+	s.OnChange(func(sig *rtl.Signal, v eval.Value) { late[sig.Name] = v.Bits })
+	if len(late) != len(nl.Signals) {
+		t.Fatalf("late hook saw %d signals, want %d", len(late), len(nl.Signals))
+	}
+	for name, v := range last {
+		if late[name] != v {
+			t.Fatalf("%s: late hook baseline %d, earlier hook last saw %d", name, late[name], v)
+		}
 	}
 }

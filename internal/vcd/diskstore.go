@@ -27,6 +27,8 @@ package vcd
 // instead of fabricating change records.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -461,7 +463,7 @@ func indexStream(rd io.Reader, out *os.File) func(StoreOptions) (*IndexStats, er
 			jobs <- job{slot: slot, win: blk.win, buf: blk.buf}
 		})
 		var h hierBuilder
-		maxTime, pstats, scanErr := scanVCD(rd, &h, g.events())
+		maxTime, pstats, scanErr := scanVCD(rd, &h, g)
 		if scanErr == nil {
 			g.finish()
 		}
@@ -948,6 +950,28 @@ func OpenStoreFile(path string, opts OpenOptions) (*Store, error) {
 	}
 	st.closer = f
 	return st, nil
+}
+
+// OpenTrace opens a trace file for replay. A pre-indexed store file
+// opens through OpenStore in O(header) with oopts; any other file is
+// raw VCD text and is parsed into a resident store with sopts. A file
+// that starts with the store magic is never re-read as text: a
+// corrupt or truncated store is an error.
+func OpenTrace(path string, sopts StoreOptions, oopts OpenOptions) (*Store, error) {
+	st, err := OpenStoreFile(path, oopts)
+	if !errors.Is(err, ErrNotStore) {
+		return st, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if head, _ := br.Peek(len(storeMagic)); bytes.Equal(head, storeMagic[:]) {
+		return nil, errors.New("vcd: truncated store header")
+	}
+	return ParseStore(br, sopts)
 }
 
 // --- lazy block loads ---

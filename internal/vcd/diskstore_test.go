@@ -300,9 +300,65 @@ func TestIndexFile(t *testing.T) {
 	}
 
 	// Opening raw VCD text as a store must report ErrNotStore (the
-	// hgdb-replay sniff-and-fallback contract).
+	// OpenTrace sniff-and-fallback contract).
 	if _, err := OpenStoreFile(vcdPath, OpenOptions{}); !errors.Is(err, ErrNotStore) {
 		t.Fatalf("raw VCD open error = %v, want ErrNotStore", err)
+	}
+}
+
+// TestOpenTrace pins the one trace opener: a store file opens through
+// OpenStore with its blocks left on disk, raw VCD text takes the parse
+// path, a missing file is an error, and a file with the store magic but
+// a corrupt or truncated header is an error — never re-read as text.
+func TestOpenTrace(t *testing.T) {
+	data := recordDesign(t, 40)
+	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteStore(&buf, mem); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	badVersion := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(badVersion[8:], 99)
+	dir := t.TempDir()
+	write := func(name string, b []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		name    string
+		path    string
+		disk    bool // opened through OpenStore: blocks stay on disk
+		wantErr bool
+	}{
+		{"store file", write("trace.hgdbstore", valid), true, false},
+		{"raw vcd", write("trace.vcd", data), false, false},
+		{"missing file", filepath.Join(dir, "absent.vcd"), false, true},
+		{"corrupt header", write("bad.hgdbstore", badVersion), false, true},
+		{"truncated header", write("short.hgdbstore", valid[:headerSize-1]), false, true},
+	}
+	for _, tc := range cases {
+		st, err := OpenTrace(tc.path, StoreOptions{BlockSize: 8}, OpenOptions{})
+		if tc.wantErr {
+			if err == nil {
+				t.Fatalf("%s: opened (%d signals), want an error", tc.name, st.NumSignals())
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if onDisk := st.src != nil; onDisk != tc.disk {
+			t.Fatalf("%s: disk-backed = %v, want %v", tc.name, onDisk, tc.disk)
+		}
+		diffStores(t, mem, st, tc.name)
+		st.Close()
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"repro/internal/val"
 )
 
-// This file is the trace index: a streaming, single-pass alternative to
-// Parse that emits change records into fixed-size time blocks instead of
+// This file is the trace index: a streaming, single-pass parse that
+// emits change records into fixed-size time blocks instead of
 // per-signal in-memory slices. Signals are decoded lazily — only the
 // debugger's breakpoint/watch dependency set is materialized into
 // binary-searchable timelines (Materialize); everything else stays as
@@ -321,11 +321,9 @@ func newStoreIngest(bs uint64, emit func(slot int, blk storeBlock)) *storeIngest
 	}
 }
 
-func (g *storeIngest) events() vcdEvents {
-	return vcdEvents{vardecl: g.vardecl, change: g.change}
-}
-
-func (g *storeIngest) vardecl(id string, width int, full, local string) {
+// vardecl declares a signal: its id code, bit width and full
+// hierarchical path.
+func (g *storeIngest) vardecl(id string, width int, full string) {
 	ts := &StoreSignal{Name: full, Width: width, store: g.st, index: len(g.st.list)}
 	ts.last.nw = ts.nw()
 	g.st.sigs[full] = ts
@@ -374,6 +372,11 @@ func appendRecord(dst []byte, sig int, dt uint64, b val.Bits) []byte {
 	return dst
 }
 
+// change records one value change for a declared id at absolute time
+// t, which never decreases across calls (scanVCD rejects regressions).
+// lit is the raw MSB-first literal — characters from 01xXzZ, already
+// validated by the scanner — not yet extended or truncated to the
+// signal's declared width.
 func (g *storeIngest) change(id string, t uint64, lit string) {
 	ts, ok := g.byID[id]
 	if !ok {
@@ -431,7 +434,7 @@ func ParseStore(rd io.Reader, opts StoreOptions) (*Store, error) {
 		g.st.blocks = append(g.st.blocks, blk)
 	})
 	var h hierBuilder
-	maxTime, stats, err := scanVCD(rd, &h, g.events())
+	maxTime, stats, err := scanVCD(rd, &h, g)
 	if err != nil {
 		return nil, err
 	}
@@ -494,10 +497,6 @@ func (rec record) bits(width int) val.Bits {
 	}
 	return b
 }
-
-// maxPlaneWords bounds a hostile record's declared extra-word count
-// (maxSignalWidth bits of planes).
-const maxPlaneWords = maxSignalWidth / 64
 
 // blockReader iterates a block's compact record stream. It is the one
 // place the record encoding (see appendRecord; v1 streams are the
@@ -583,7 +582,12 @@ func (r *blockReader) next() (record, bool) {
 		if !ok {
 			return record{}, false
 		}
-		if k == 0 || k > maxPlaneWords {
+		// Every extra word takes at least one varint byte, so a count
+		// past the rest of the stream is corrupt. Bounding by the stream
+		// rather than a fixed width cap keeps the allocation proportional
+		// to the input while still admitting every width the scanner
+		// accepts.
+		if k == 0 || k > uint64(len(r.buf)-off) {
 			r.err = fmt.Errorf("%w: implausible %d extra value words at byte %d", errCorruptRecord, k, r.off)
 			return record{}, false
 		}

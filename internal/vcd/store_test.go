@@ -2,6 +2,7 @@ package vcd
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,10 +13,10 @@ import (
 	"repro/internal/sim"
 )
 
-// recordDesign simulates a two-level design (top counter plus two child
-// accumulators) for n cycles and returns the VCD text. Multiple scopes
-// and widths exercise hierarchy reconstruction and vector changes.
-func recordDesign(t testing.TB, n int) []byte {
+// designNetlist elaborates a two-level design: a top counter plus two
+// child accumulators. Multiple scopes and widths exercise hierarchy
+// reconstruction and vector changes.
+func designNetlist(t testing.TB) *rtl.Netlist {
 	t.Helper()
 	c := generator.NewCircuit("Top")
 	leaf := c.NewModule("Leaf")
@@ -46,9 +47,25 @@ func recordDesign(t testing.TB, n int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New(nl)
+	return nl
+}
+
+// recordDesign simulates the design for n cycles and returns the VCD
+// text.
+func recordDesign(t testing.TB, n int) []byte {
+	t.Helper()
+	data, _ := simulateDesign(t, n)
+	return data
+}
+
+// simulateDesign simulates the design for n cycles and returns the VCD
+// text together with the simulator's own truth table of the same run.
+func simulateDesign(t testing.TB, n int) ([]byte, *truthTable) {
+	t.Helper()
+	s := sim.New(designNetlist(t))
 	var buf bytes.Buffer
 	rec := NewRecorder(s, &buf)
+	truth := recordTruth(s)
 	if err := s.Reset("Top.reset", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -59,46 +76,36 @@ func recordDesign(t testing.TB, n int) []byte {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), truth
 }
 
-// TestStoreMatchesEagerParse is the parser-level differential: every
-// signal's value at every time must be identical between the eager
-// per-signal timelines and the block store, queried lazily (block
-// decode), again after materialization, and via ApplyUpTo state sweeps.
-func TestStoreMatchesEagerParse(t *testing.T) {
-	data := recordDesign(t, 300)
-	tr, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestStoreMatchesSimulation is the parser-level differential: every
+// signal's value at every time, and its change count, must match the
+// simulator's own change stream — queried lazily (block decode), again
+// after partial and full materialization.
+func TestStoreMatchesSimulation(t *testing.T) {
+	data, truth := simulateDesign(t, 300)
 	// Block size 16 forces many blocks; 300 cycles crosses plenty of
 	// boundaries.
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxTime != tr.MaxTime {
-		t.Fatalf("MaxTime: store %d, eager %d", st.MaxTime, tr.MaxTime)
+	if st.MaxTime != truth.maxTime {
+		t.Fatalf("MaxTime: store %d, simulation %d", st.MaxTime, truth.maxTime)
 	}
-	names := tr.SignalNames()
-	storeNames := st.SignalNames()
-	if len(names) != len(storeNames) {
-		t.Fatalf("signal count: store %d, eager %d", len(storeNames), len(names))
+	names := truth.names()
+	if got := st.SignalNames(); !slices.Equal(got, names) {
+		t.Fatalf("signals: store %v, simulation %v", got, names)
 	}
 	check := func(phase string) {
 		for _, name := range names {
-			es, _ := tr.Signal(name)
-			ss, ok := st.Signal(name)
-			if !ok {
-				t.Fatalf("%s: store missing signal %q", phase, name)
+			ss, _ := st.Signal(name)
+			if got, want := ss.NumChanges(), truth.numChanges(name); got != want {
+				t.Fatalf("%s: %s changes: store %d, simulation %d", phase, name, got, want)
 			}
-			if ss.NumChanges() != es.NumChanges() {
-				t.Fatalf("%s: %s changes: store %d, eager %d",
-					phase, name, ss.NumChanges(), es.NumChanges())
-			}
-			for tm := uint64(0); tm <= tr.MaxTime; tm++ {
-				if got, want := ss.ValueAt(tm), es.ValueAt(tm); got != want {
+			for tm := uint64(0); tm <= truth.maxTime; tm++ {
+				if got, want := ss.ValueAt(tm), truth.valueAt(name, tm); got != want {
 					t.Fatalf("%s: %s@%d = %d, want %d", phase, name, tm, got, want)
 				}
 			}
@@ -115,15 +122,11 @@ func TestStoreMatchesEagerParse(t *testing.T) {
 	check("materialized")
 }
 
-// TestStoreApplyUpTo checks cursor-resumed state sweeps against eager
-// per-signal queries: replaying in arbitrary forward increments must
-// land on the exact signal values at every stop.
+// TestStoreApplyUpTo checks cursor-resumed state sweeps against the
+// simulation's truth table: replaying in arbitrary forward increments
+// must land on the exact signal values at every stop.
 func TestStoreApplyUpTo(t *testing.T) {
-	data := recordDesign(t, 200)
-	tr, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, truth := simulateDesign(t, 200)
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -138,47 +141,24 @@ func TestStoreApplyUpTo(t *testing.T) {
 			at = st.MaxTime
 		}
 		cur = st.ApplyUpTo(cur, at, state)
-		for _, name := range tr.SignalNames() {
-			es, _ := tr.Signal(name)
+		for _, name := range truth.names() {
 			ss, _ := st.Signal(name)
-			if got, want := st.StateBits(state, ss).V0, es.ValueAt(at); got != want {
+			if got, want := st.StateBits(state, ss).V0, truth.valueAt(name, at); got != want {
 				t.Fatalf("state[%s]@%d = %d, want %d", name, at, got, want)
 			}
 		}
 	}
 }
 
-// TestStoreHierarchy checks the scope tree matches the eager parser's.
+// TestStoreHierarchy checks the scope tree matches the simulated
+// netlist's.
 func TestStoreHierarchy(t *testing.T) {
-	data := recordDesign(t, 10)
-	tr, err := Parse(bytes.NewReader(data))
+	st, err := ParseStore(bytes.NewReader(recordDesign(t, 10)), StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ParseStore(bytes.NewReader(data), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flatten func(n *rtl.InstanceNode) []string
-	flatten = func(n *rtl.InstanceNode) []string {
-		if n == nil {
-			return nil
-		}
-		out := []string{n.Path}
-		out = append(out, n.Signals...)
-		for _, c := range n.Children {
-			out = append(out, flatten(c)...)
-		}
-		return out
-	}
-	a, b := flatten(tr.Hierarchy), flatten(st.Hierarchy)
-	if len(a) != len(b) {
-		t.Fatalf("hierarchy size: eager %d, store %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("hierarchy[%d]: eager %q, store %q", i, a[i], b[i])
-		}
+	if a, b := flattenHier(designNetlist(t).Hierarchy), flattenHier(st.Hierarchy); !slices.Equal(a, b) {
+		t.Fatalf("hierarchy: netlist %q, store %q", a, b)
 	}
 	if st.NumBlocks() == 0 || st.NumChanges() == 0 || st.IndexBytes() == 0 {
 		t.Fatalf("store stats empty: blocks=%d changes=%d bytes=%d",
@@ -194,29 +174,14 @@ func TestStoreHierarchy(t *testing.T) {
 // produces, resumed ApplyUpTo sweeps must match fresh ones, and
 // NextChangeTime must report the first record past the cursor.
 func TestCursorWindowBoundaries(t *testing.T) {
-	data := recordDesign(t, 120)
-	tr, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, truth := simulateDesign(t, 120)
 	const bs = 16
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Change times, for NextChangeTime's expected answers.
-	changed := map[uint64]bool{}
-	var changeTimes []uint64
-	for _, name := range tr.SignalNames() {
-		es, _ := tr.Signal(name)
-		for tm := range es.times {
-			if !changed[es.times[tm]] {
-				changed[es.times[tm]] = true
-				changeTimes = append(changeTimes, es.times[tm])
-			}
-		}
-	}
-	sort.Slice(changeTimes, func(i, j int) bool { return changeTimes[i] < changeTimes[j] })
+	changeTimes := truth.changeTimes()
 	firstAfter := func(tm uint64) (uint64, bool) {
 		i := sort.Search(len(changeTimes), func(i int) bool { return changeTimes[i] > tm })
 		if i == len(changeTimes) {
@@ -243,14 +208,13 @@ func TestCursorWindowBoundaries(t *testing.T) {
 			continue
 		}
 		prev = tm
-		// Resumed sweep vs fresh sweep vs eager truth.
+		// Resumed sweep vs fresh sweep vs simulation truth.
 		cur = st.ApplyUpTo(cur, tm, state)
 		fresh.Zero()
 		freshCur := st.ApplyUpTo(Cursor{}, tm, fresh)
-		for _, name := range tr.SignalNames() {
-			es, _ := tr.Signal(name)
+		for _, name := range truth.names() {
 			ss, _ := st.Signal(name)
-			want := es.ValueAt(tm)
+			want := truth.valueAt(name, tm)
 			if st.StateBits(state, ss).V0 != want || st.StateBits(fresh, ss).V0 != want {
 				t.Fatalf("sweep @%d %s: resumed %d, fresh %d, want %d",
 					tm, name, st.StateBits(state, ss).V0, st.StateBits(fresh, ss).V0, want)
@@ -321,12 +285,8 @@ $enddefinitions $end
 // budget, the least recently advised timelines drop back to
 // block-index form — and answers do not change.
 func TestTimelineLRUBudget(t *testing.T) {
-	data := recordDesign(t, 300)
+	data, truth := simulateDesign(t, 300)
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +321,9 @@ func TestTimelineLRUBudget(t *testing.T) {
 		t.Fatal("entire most-recent union evicted")
 	}
 	for _, n := range names {
-		es, _ := tr.Signal(n)
 		ss, _ := st.Signal(n)
 		for tm := uint64(0); tm <= st.MaxTime; tm += 7 {
-			if got, want := ss.ValueAt(tm), es.ValueAt(tm); got != want {
+			if got, want := ss.ValueAt(tm), truth.valueAt(n, tm); got != want {
 				t.Fatalf("post-eviction %s@%d = %d, want %d", n, tm, got, want)
 			}
 		}
@@ -384,8 +343,8 @@ func TestTimelineLRUBudget(t *testing.T) {
 // simulator dumps count timescale units, not cycles, so timestamps can
 // be enormous (#1e12 for a 1 s run at 1 ps) with huge empty gaps.
 // Block memory must scale with changes, not with MaxTime/blockSize,
-// and queries inside and across the gaps must agree with the eager
-// parser.
+// and queries inside and across the gaps must agree with the literal
+// change table.
 func TestStoreSparseTimestamps(t *testing.T) {
 	const trace = `$scope module Top $end
 $var wire 1 ! a $end
@@ -415,18 +374,17 @@ b11 "
 	if st.IndexBytes() > 1<<12 {
 		t.Fatalf("IndexBytes = %d, want tiny for 6 changes", st.IndexBytes())
 	}
-	tr, err := Parse(bytes.NewReader([]byte(trace)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := &truthTable{changes: map[string][]truthChange{
+		"Top.a": {{0, 1}, {70, 0}, {1000000000000, 1}, {1000000000100, 0}},
+		"Top.v": {{0, 5}, {1000000000000, 3}},
+	}}
 	times := []uint64{0, 1, 69, 70, 71, 1000, 999999999999, 1000000000000,
 		1000000000050, 1000000000100, st.MaxTime}
 	check := func(phase string) {
 		for _, name := range []string{"Top.a", "Top.v"} {
-			es, _ := tr.Signal(name)
 			ss, _ := st.Signal(name)
 			for _, tm := range times {
-				if got, want := ss.ValueAt(tm), es.ValueAt(tm); got != want {
+				if got, want := ss.ValueAt(tm), truth.valueAt(name, tm); got != want {
 					t.Fatalf("%s: %s@%d = %d, want %d", phase, name, tm, got, want)
 				}
 			}
@@ -439,9 +397,8 @@ b11 "
 	for _, tm := range times {
 		cur = st.ApplyUpTo(cur, tm, state)
 		for _, name := range []string{"Top.a", "Top.v"} {
-			es, _ := tr.Signal(name)
 			ss, _ := st.Signal(name)
-			if got, want := st.StateBits(state, ss).V0, es.ValueAt(tm); got != want {
+			if got, want := st.StateBits(state, ss).V0, truth.valueAt(name, tm); got != want {
 				t.Fatalf("sweep: %s@%d = %d, want %d", name, tm, got, want)
 			}
 		}

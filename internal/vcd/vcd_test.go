@@ -2,6 +2,7 @@ package vcd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -67,9 +68,27 @@ func TestRecorderHeader(t *testing.T) {
 	}
 }
 
+// TestTwoRecordersIdentical pins sim.OnChange's baseline report: a
+// second recorder on the same simulator must receive the initial
+// values too, so both traces are byte-identical.
+func TestTwoRecordersIdentical(t *testing.T) {
+	s := buildAndSim(t)
+	var a, b bytes.Buffer
+	ra, rb := NewRecorder(s, &a), NewRecorder(s, &b)
+	s.Reset("Counter.reset", 1)
+	s.Poke("Counter.en", 1)
+	s.Run(10)
+	if err := errors.Join(ra.Flush(), rb.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("second recorder diverged:\n--- first\n%s\n--- second\n%s", a.String(), b.String())
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	buf := recordTrace(t)
-	tr, err := Parse(buf)
+	tr, err := ParseStore(buf, StoreOptions{})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -100,13 +119,24 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestValueAtBeforeFirstChange(t *testing.T) {
-	ts := &TraceSignal{Name: "x", Width: 4}
-	if ts.ValueAt(100) != 0 {
+	src := `$scope module top $end
+$var wire 4 ! x $end
+$var wire 4 " empty $end
+$upscope $end
+$enddefinitions $end
+#5
+b11 !
+#10
+b111 !
+`
+	tr, err := ParseStore(strings.NewReader(src), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty, _ := tr.Signal("top.empty"); empty.ValueAt(100) != 0 {
 		t.Fatal("empty timeline not zero")
 	}
-	ts.times = []uint64{5, 10}
-	ts.pl.nw = 1
-	ts.pl.v = []uint64{3, 7}
+	ts, _ := tr.Signal("top.x")
 	cases := []struct{ t, want uint64 }{{0, 0}, {4, 0}, {5, 3}, {9, 3}, {10, 7}, {100, 7}}
 	for _, c := range cases {
 		if got := ts.ValueAt(c.t); got != c.want {
@@ -128,7 +158,7 @@ bx0z1 !
 #1
 b1010 !
 `
-	tr, err := Parse(strings.NewReader(src))
+	tr, err := ParseStore(strings.NewReader(src), StoreOptions{})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -163,7 +193,7 @@ $enddefinitions $end
 #2
 0!
 `
-	tr, err := Parse(strings.NewReader(src))
+	tr, err := ParseStore(strings.NewReader(src), StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +214,7 @@ func TestParseErrors(t *testing.T) {
 		"$scope module t $end\n$var wire 1 ! s $end\n$enddefinitions $end\n#0\nbxy !\n",
 	}
 	for _, src := range bad {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
+		if _, err := ParseStore(strings.NewReader(src), StoreOptions{}); err == nil {
 			t.Errorf("accepted malformed VCD %q", src)
 		}
 	}
@@ -206,26 +236,18 @@ $enddefinitions $end
 #3
 1!
 `
-	for name, parse := range map[string]func() error{
-		"Parse": func() error { _, err := Parse(strings.NewReader(src)); return err },
-		"ParseStore": func() error {
-			_, err := ParseStore(strings.NewReader(src), StoreOptions{BlockSize: 4})
-			return err
-		},
-	} {
-		err := parse()
-		if err == nil {
-			t.Fatalf("%s accepted a regressed timestamp", name)
-		}
-		// The error must point at the offending line (line 9: "#3").
-		if !strings.Contains(err.Error(), "line 9") || !strings.Contains(err.Error(), "backwards") {
-			t.Fatalf("%s: unpositioned regression error: %v", name, err)
-		}
+	_, err := ParseStore(strings.NewReader(src), StoreOptions{BlockSize: 4})
+	if err == nil {
+		t.Fatal("ParseStore accepted a regressed timestamp")
+	}
+	// The error must point at the offending line (line 9: "#3").
+	if !strings.Contains(err.Error(), "line 9") || !strings.Contains(err.Error(), "backwards") {
+		t.Fatalf("unpositioned regression error: %v", err)
 	}
 	// Equal timestamps are legal (repeated #t markers appear in real
 	// dumps) and must still parse.
 	ok := strings.Replace(src, "#3", "#5", 1)
-	if _, err := Parse(strings.NewReader(ok)); err != nil {
+	if _, err := ParseStore(strings.NewReader(ok), StoreOptions{BlockSize: 4}); err != nil {
 		t.Fatalf("repeated timestamp rejected: %v", err)
 	}
 }
@@ -257,23 +279,6 @@ b101 !
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatalf("wide vector aborted parse: %v", err)
-	}
-	ts, _ := tr.Signal("top.bus")
-	if got := ts.ValueAt(0); got != want {
-		t.Fatalf("wide vector low bits = %#x, want %#x", got, want)
-	}
-	if got := ts.BitsAt(0); !got.CaseEq(wantBits) {
-		t.Fatalf("wide vector = %s, want %s", got.String(), wantBits.String())
-	}
-	if got := ts.ValueAt(1); got != 0b101 {
-		t.Fatalf("narrow follow-up = %#x", got)
-	}
-	if tr.Stats.XZChanges != 0 || tr.Stats.MaxWidth != 100 {
-		t.Fatalf("Stats = %+v, want XZChanges 0, MaxWidth 100", tr.Stats)
-	}
 	st, err := ParseStore(strings.NewReader(src), StoreOptions{})
 	if err != nil {
 		t.Fatalf("wide vector aborted store parse: %v", err)
@@ -284,6 +289,9 @@ b101 !
 	}
 	if got := ss.BitsAt(0); !got.CaseEq(wantBits) {
 		t.Fatalf("store wide vector = %s, want %s", got.String(), wantBits.String())
+	}
+	if got := ss.ValueAt(1); got != 0b101 {
+		t.Fatalf("narrow follow-up = %#x", got)
 	}
 	if st.Stats.XZChanges != 0 || st.Stats.MaxWidth != 100 {
 		t.Fatalf("store Stats = %+v, want XZChanges 0, MaxWidth 100", st.Stats)
@@ -312,7 +320,7 @@ func TestVeryLongLines(t *testing.T) {
 	sb.WriteString(strings.Repeat("0", wideBits-64))
 	sb.WriteString("1" + strings.Repeat("0", 62) + "1")
 	sb.WriteString(" !\n#1\nb11 !\n")
-	tr, err := Parse(strings.NewReader(sb.String()))
+	tr, err := ParseStore(strings.NewReader(sb.String()), StoreOptions{})
 	if err != nil {
 		t.Fatalf("long line killed parse: %v", err)
 	}
