@@ -661,14 +661,9 @@ func riscvTraceVCD(b *testing.B) []byte {
 			replayTraceErr = err
 			return
 		}
-		var w *riscv.Workload
-		for _, cand := range riscv.Workloads() {
-			if cand.Name == "vvadd" {
-				w = cand
-			}
-		}
-		if w == nil {
-			replayTraceErr = fmt.Errorf("vvadd workload not found")
+		w, err := vvaddWorkload()
+		if err != nil {
+			replayTraceErr = err
 			return
 		}
 		var buf bytes.Buffer
@@ -900,6 +895,87 @@ func BenchmarkReplayReverseStep(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkStopFrame measures one stepped stop on the one-core SoC
+// running vvadd: the step scheduling, every enabled statement's
+// evaluation and the stop frame's construction (plan lookup plus one
+// backend read per frame variable). /live steps the simulator, /replay
+// the recorded trace of the same run. Frame plans are warmed before
+// the timer starts, so allocs/op is the steady-state cost per stop.
+func BenchmarkStopFrame(b *testing.B) {
+	b.Run("live", func(b *testing.B) {
+		m, err := riscv.NewMachine(1, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, err := vvaddWorkload()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Load(0, w.Prog); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		rt, err := core.New(vpi.NewSimBackend(m.Sim), m.Table)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSteppedStops(b, rt, func() bool { m.Sim.Step(); return true })
+	})
+	b.Run("replay", func(b *testing.B) {
+		st, err := vcd.ParseStore(bytes.NewReader(riscvTraceVCD(b)), vcd.StoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := riscv.NewMachine(1, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := replay.NewStore(st)
+		rt, err := core.New(eng, m.Table)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSteppedStops(b, rt, eng.StepForward)
+	})
+}
+
+// benchSteppedStops times b.N consecutive step stops, advancing the
+// clock with advance (false = no more cycles).
+func benchSteppedStops(b *testing.B, rt *core.Runtime, advance func() bool) {
+	stops, want := 0, 0
+	rt.SetHandler(func(*core.StopEvent) core.Command {
+		if stops++; stops >= want {
+			return core.CmdContinue
+		}
+		return core.CmdStep
+	})
+	walk := func(n int) {
+		stops, want = 0, n
+		rt.InterruptNext()
+		for stops < n && advance() {
+		}
+		if stops < n {
+			b.Fatalf("ran out of cycles after %d of %d stops", stops, n)
+		}
+	}
+	walk(500) // build the plans of the breakpoints the walk reaches
+	b.ReportAllocs()
+	b.ResetTimer()
+	walk(b.N)
+}
+
+// vvaddWorkload returns the vvadd Fig 5 workload.
+func vvaddWorkload() (*riscv.Workload, error) {
+	for _, w := range riscv.Workloads() {
+		if w.Name == "vvadd" {
+			return w, nil
+		}
+	}
+	return nil, fmt.Errorf("vvadd workload not found")
 }
 
 // BenchmarkParallelEval measures the §3.2 parallel group evaluation,

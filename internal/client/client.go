@@ -413,31 +413,32 @@ func (c *Client) readLoop(conn *ws.Conn, closed chan struct{}) {
 			}
 			ev = *pev
 		} else {
-			// Peek at the type.
-			var head struct {
-				Type  string `json:"type"`
-				Token string `json:"token"`
+			// One decode serves both frame kinds: the response-only
+			// fields sit beside the event's (no JSON name collides, and
+			// a response's reason lands in Event.Reason), so a ~9 KB
+			// stop is scanned once instead of peeked and then decoded.
+			var frame struct {
+				proto.Event
+				Token  string          `json:"token"`
+				Status string          `json:"status"`
+				Data   json.RawMessage `json:"data"`
 			}
-			if err := json.Unmarshal(raw, &head); err != nil {
+			if err := json.Unmarshal(raw, &frame); err != nil {
 				continue
 			}
-			if head.Type == "response" {
-				var resp proto.Response
-				if err := json.Unmarshal(raw, &resp); err != nil {
-					continue
-				}
+			if frame.Type == "response" {
+				resp := &proto.Response{Type: frame.Type, Token: frame.Token, Status: frame.Status,
+					Reason: frame.Reason, Data: frame.Data}
 				c.mu.Lock()
 				ch := c.waiting[resp.Token]
 				delete(c.waiting, resp.Token)
 				c.mu.Unlock()
 				if ch != nil {
-					ch <- &resp
+					ch <- resp
 				}
 				continue
 			}
-			if err := json.Unmarshal(raw, &ev); err != nil {
-				continue
-			}
+			ev = frame.Event
 		}
 		if ev.Type == "stop" && c.opts.Delta {
 			if !c.resolveStop(conn, &ev) {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/symtab"
 	"repro/internal/val"
 	"repro/internal/vpi"
 )
@@ -22,9 +25,120 @@ func (ibp *insertedBP) pathBitsResolver(rt *Runtime) expr.BitsResolver {
 	})
 }
 
+// frameSlot is one frame variable's fixed shape: the source-level
+// name it is shown under and the full simulator path its value is
+// read from.
+type frameSlot struct {
+	name, rtl string
+}
+
+// framePlan lists a frame's variables in display order as indices
+// into Runtime.frameSlots, which holds each distinct slot once: scopes
+// overlap heavily (the one-core SoC's 111 breakpoints bind 4120 scope
+// variables through 98 distinct slots), so a plan costs 4 bytes per
+// variable.
+type framePlan []int32
+
+// instancePlan is one instance's generator-variable frame plan, and
+// the name → simulator path index EvaluateBits and condition name
+// resolution use (first binding per name, as
+// symtab.ResolveInstanceVar).
+type instancePlan struct {
+	plan   framePlan
+	byName map[string]string
+}
+
+// buildInstancePlans builds every instance's generator plan. New calls
+// it once; the plans are never written afterwards, so query goroutines
+// may read them without a lock. The table is read-only after load and
+// the remap is fixed at New, so a plan can never go stale.
+func (rt *Runtime) buildInstancePlans() map[string]*instancePlan {
+	plans := map[string]*instancePlan{}
+	for _, inst := range rt.table.Instances() {
+		id, ok := rt.table.InstanceIDByName(inst)
+		if !ok {
+			continue
+		}
+		binds := rt.table.GeneratorVars(id)
+		p := &instancePlan{plan: rt.planSlots(inst, binds), byName: make(map[string]string, len(binds))}
+		for _, i := range p.plan {
+			s := rt.frameSlots[i]
+			if _, dup := p.byName[s.name]; !dup {
+				p.byName[s.name] = s.rtl
+			}
+		}
+		rt.sortPlan(p.plan)
+		plans[inst] = p
+	}
+	return plans
+}
+
+// generatorPath resolves a generator variable of an instance to its
+// simulator path through the instance's plan.
+func (rt *Runtime) generatorPath(instance, name string) (string, bool) {
+	p := rt.instPlans[instance]
+	if p == nil {
+		return "", false
+	}
+	full, ok := p.byName[name]
+	return full, ok
+}
+
+// localPlan returns the scope-variable plan of a breakpoint, building
+// it on the breakpoint's first stop. Simulation goroutine only.
+func (rt *Runtime) localPlan(bp *symtab.Breakpoint) framePlan {
+	if plan, ok := rt.localPlans[bp.ID]; ok {
+		return plan
+	}
+	plan := rt.planSlots(bp.InstanceName, rt.table.ScopeVars(bp.ID))
+	rt.sortPlan(plan)
+	rt.localPlans[bp.ID] = plan
+	return plan
+}
+
+// planSlots maps an instance's variable bindings to slots, in binding
+// order; nil when there are none, so an empty frame list stays nil on
+// the wire.
+func (rt *Runtime) planSlots(instance string, binds []symtab.VarBinding) framePlan {
+	if len(binds) == 0 {
+		return nil
+	}
+	plan := make(framePlan, len(binds))
+	for i, b := range binds {
+		s := frameSlot{name: b.Name, rtl: rt.remap.ToSim(instance + "." + b.RTL)}
+		idx, ok := rt.frameSlotIdx[s]
+		if !ok {
+			idx = int32(len(rt.frameSlots))
+			rt.frameSlots = append(rt.frameSlots, s)
+			rt.frameSlotIdx[s] = idx
+		}
+		plan[i] = idx
+	}
+	return plan
+}
+
+// sortPlan puts a plan in display order (natural name order).
+func (rt *Runtime) sortPlan(plan framePlan) {
+	sort.Slice(plan, func(i, j int) bool { return naturalLess(rt.frameSlots[plan[i]].name, rt.frameSlots[plan[j]].name) })
+}
+
+// readFrame reads every slot of a plan, in plan order.
+func (rt *Runtime) readFrame(plan framePlan) []Variable {
+	if len(plan) == 0 {
+		return nil
+	}
+	vars := make([]Variable, len(plan))
+	for i, idx := range plan {
+		s := &rt.frameSlots[idx]
+		vars[i] = rt.frameVar(s.name, s.rtl)
+	}
+	return vars
+}
+
 // buildEvent reconstructs the stack-frame information for every hit
 // instance (§3.2 step 3: "we reconstruct the stack frame based on the
-// symbol table and then send the result to the user").
+// symbol table and then send the result to the user"). The frame's
+// shape comes from cached plans; only the values are read per stop.
 func (rt *Runtime) buildEvent(g *group, hits []*insertedBP, time uint64, reverse, stepping bool) *StopEvent {
 	ev := &StopEvent{
 		Time:     time,
@@ -33,32 +147,19 @@ func (rt *Runtime) buildEvent(g *group, hits []*insertedBP, time uint64, reverse
 		Col:      g.col,
 		Reverse:  reverse,
 		StepStop: stepping,
+		Threads:  make([]Thread, len(hits)),
 	}
-	for _, ibp := range hits {
-		th := Thread{
-			BreakpointID: ibp.bp.ID,
-			Instance:     ibp.bp.InstanceName,
+	for i, ibp := range hits {
+		th := &ev.Threads[i]
+		th.BreakpointID = ibp.bp.ID
+		th.Instance = ibp.bp.InstanceName
+		th.Locals = rt.readFrame(rt.localPlan(&ibp.bp))
+		if p := rt.instPlans[ibp.bp.InstanceName]; p != nil {
+			th.Generator = rt.readFrame(p.plan)
 		}
-		for _, b := range rt.table.ScopeVars(ibp.bp.ID) {
-			full := rt.remap.ToSim(ibp.bp.InstanceName + "." + b.RTL)
-			th.Locals = append(th.Locals, rt.frameVar(b.Name, full))
-		}
-		if instID, ok := rt.table.InstanceIDByName(ibp.bp.InstanceName); ok {
-			for _, b := range rt.table.GeneratorVars(instID) {
-				full := rt.remap.ToSim(ibp.bp.InstanceName + "." + b.RTL)
-				th.Generator = append(th.Generator, rt.frameVar(b.Name, full))
-			}
-		}
-		sortVars(th.Locals)
-		sortVars(th.Generator)
-		ev.Threads = append(ev.Threads, th)
 	}
-	sort.Slice(ev.Threads, func(i, j int) bool { return ev.Threads[i].Instance < ev.Threads[j].Instance })
+	slices.SortFunc(ev.Threads, func(a, b Thread) int { return strings.Compare(a.Instance, b.Instance) })
 	return ev
-}
-
-func sortVars(vars []Variable) {
-	sort.Slice(vars, func(i, j int) bool { return naturalLess(vars[i].Name, vars[j].Name) })
 }
 
 // naturalLess orders variable names with digit runs compared
@@ -135,8 +236,8 @@ func (rt *Runtime) EvaluateBits(instance, src string) (val.Bits, error) {
 		return val.Bits{}, err
 	}
 	return expr.EvalBits(n, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		if rtlPath, err := rt.table.ResolveInstanceVar(instance, name); err == nil {
-			return vpi.ReadBits(rt.backend, rt.remap.ToSim(rtlPath))
+		if full, ok := rt.generatorPath(instance, name); ok {
+			return vpi.ReadBits(rt.backend, full)
 		}
 		if b, err := vpi.ReadBits(rt.backend, rt.remap.ToSim(instance+"."+name)); err == nil {
 			return b, nil

@@ -32,8 +32,8 @@ func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string,
 			return rt.remap.ToSim(rtlPath), true
 		}
 	}
-	if rtlPath, err := rt.table.ResolveInstanceVar(instance, name); err == nil {
-		return rt.remap.ToSim(rtlPath), true
+	if full, ok := rt.generatorPath(instance, name); ok {
+		return full, true
 	}
 	local := rt.remap.ToSim(instance + "." + name)
 	// A four-state read error proves the signal exists; its value just

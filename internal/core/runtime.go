@@ -343,6 +343,16 @@ type Runtime struct {
 	// fused program rebuilt with the dependency union.
 	fused         *fusedState
 	statFusedRuns atomic.Uint64 // fused whole-schedule executions
+
+	// Stop-frame plans (see frames.go). instPlans holds every
+	// instance's generator plan, built in New and read-only afterwards
+	// (query goroutines read it). localPlans holds each stopped
+	// breakpoint's scope plan; it and the slot table every plan
+	// indexes grow lazily on the simulation goroutine after New.
+	instPlans    map[string]*instancePlan
+	localPlans   map[int64]framePlan
+	frameSlots   []frameSlot
+	frameSlotIdx map[frameSlot]int32
 }
 
 // New attaches a runtime to a backend and symbol table. The design is
@@ -359,6 +369,8 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 		inserted: map[int64]*insertedBP{},
 		queries:  make(chan *QueryJob, queryQueueDepth),
 	}
+	rt.localPlans, rt.frameSlotIdx = map[int64]framePlan{}, map[frameSlot]int32{}
+	rt.instPlans = rt.buildInstancePlans()
 	rt.allGroups = rt.buildAllGroups()
 	rt.groupIdx = make(map[groupKey]int, len(rt.allGroups))
 	for i, g := range rt.allGroups {

@@ -1015,12 +1015,9 @@ func (s *Store) validateBlockStream(slot int, buf []byte) error {
 		end = ^uint64(0)
 	}
 	r := blockReader{buf: buf, time: start, v1: s.v1}
-	for {
-		rec, ok := r.next()
-		if !ok {
-			break
-		}
-		r.commit(rec)
+	var rec record
+	for r.next(&rec) {
+		r.commit(&rec)
 		if rec.sig >= len(s.list) {
 			return fmt.Errorf("vcd: block %d (window %d): record names signal %d of %d", slot, b.win, rec.sig, len(s.list))
 		}

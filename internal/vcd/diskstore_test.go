@@ -455,12 +455,9 @@ func TestBlockReaderHostile(t *testing.T) {
 	for i, buf := range hostile {
 		r := blockReader{buf: buf}
 		steps := 0
-		for {
-			rec, ok := r.next()
-			if !ok {
-				break
-			}
-			r.commit(rec)
+		var rec record
+		for r.next(&rec) {
+			r.commit(&rec)
 			if steps++; steps > len(buf) {
 				t.Fatalf("case %d: reader did not terminate", i)
 			}
@@ -475,7 +472,8 @@ func TestBlockReaderHostile(t *testing.T) {
 	good = binary.AppendUvarint(good, 7)    // delta
 	good = binary.AppendUvarint(good, 99)   // value word
 	r := blockReader{buf: good, time: 100}
-	rec, ok := r.next()
+	var rec record
+	ok := r.next(&rec)
 	if !ok || r.err != nil || rec.sig != 3 || rec.time != 107 || rec.v0 != 99 || rec.x0 != 0 {
 		t.Fatalf("valid stream misdecoded: %+v ok=%v err=%v", rec, ok, r.err)
 	}
@@ -485,7 +483,7 @@ func TestBlockReaderHostile(t *testing.T) {
 	v1good = binary.AppendUvarint(v1good, 7)
 	v1good = binary.AppendUvarint(v1good, 99)
 	r = blockReader{buf: v1good, time: 100, v1: true}
-	rec, ok = r.next()
+	ok = r.next(&rec)
 	if !ok || r.err != nil || rec.sig != 3 || rec.time != 107 || rec.v0 != 99 {
 		t.Fatalf("valid v1 stream misdecoded: %+v ok=%v err=%v", rec, ok, r.err)
 	}
@@ -496,7 +494,7 @@ func TestBlockReaderHostile(t *testing.T) {
 	}
 	enc := appendRecord(nil, 5, 9, b)
 	r = blockReader{buf: enc, time: 100}
-	rec, ok = r.next()
+	ok = r.next(&rec)
 	if !ok || r.err != nil || rec.sig != 5 || rec.time != 109 {
 		t.Fatalf("wide record misdecoded: %+v ok=%v err=%v", rec, ok, r.err)
 	}

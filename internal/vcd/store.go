@@ -490,7 +490,7 @@ type record struct {
 }
 
 // bits assembles the record's value at the signal's declared width.
-func (rec record) bits(width int) val.Bits {
+func (rec *record) bits(width int) val.Bits {
 	b := val.Bits{Width: width, V0: rec.v0, X0: rec.x0, VH: rec.vh, XH: rec.xh}
 	if width <= 64 {
 		b.VH, b.XH = nil, nil
@@ -549,38 +549,43 @@ func (r *blockReader) uv(off *int, what string) (uint64, bool) {
 	return v, true
 }
 
-func (r *blockReader) next() (record, bool) {
+// next decodes the record at the read position into *rec, which the
+// caller owns and may reuse across calls: every field is overwritten,
+// and the wide planes are freshly allocated per wide record, so a
+// record the caller keeps a copy of never aliases a later decode.
+func (r *blockReader) next(rec *record) bool {
 	if r.err != nil || r.off >= len(r.buf) {
-		return record{}, false
+		return false
 	}
 	off := r.off
 	head, ok := r.uv(&off, "signal index")
 	if !ok {
-		return record{}, false
+		return false
 	}
 	dt, ok := r.uv(&off, "time delta")
 	if !ok {
-		return record{}, false
+		return false
 	}
 	v0, ok := r.uv(&off, "value")
 	if !ok {
-		return record{}, false
+		return false
 	}
 	if r.v1 {
-		return record{sig: int(head), time: r.time + dt, v0: v0, size: off - r.off}, true
+		*rec = record{sig: int(head), time: r.time + dt, v0: v0, size: off - r.off}
+		return true
 	}
-	rec := record{sig: int(head >> 2), time: r.time + dt, v0: v0}
+	*rec = record{sig: int(head >> 2), time: r.time + dt, v0: v0}
 	hasX := head&1 != 0
 	wide := head&2 != 0
 	if hasX {
 		if rec.x0, ok = r.uv(&off, "x plane"); !ok {
-			return record{}, false
+			return false
 		}
 	}
 	if wide {
 		k, ok := r.uv(&off, "word count")
 		if !ok {
-			return record{}, false
+			return false
 		}
 		// Every extra word takes at least one varint byte, so a count
 		// past the rest of the stream is corrupt. Bounding by the stream
@@ -589,28 +594,28 @@ func (r *blockReader) next() (record, bool) {
 		// accepts.
 		if k == 0 || k > uint64(len(r.buf)-off) {
 			r.err = fmt.Errorf("%w: implausible %d extra value words at byte %d", errCorruptRecord, k, r.off)
-			return record{}, false
+			return false
 		}
 		rec.vh = make([]uint64, k)
 		for i := range rec.vh {
 			if rec.vh[i], ok = r.uv(&off, "value word"); !ok {
-				return record{}, false
+				return false
 			}
 		}
 		if hasX {
 			rec.xh = make([]uint64, k)
 			for i := range rec.xh {
 				if rec.xh[i], ok = r.uv(&off, "x word"); !ok {
-					return record{}, false
+					return false
 				}
 			}
 		}
 	}
 	rec.size = off - r.off
-	return rec, true
+	return true
 }
 
-func (r *blockReader) commit(rec record) {
+func (r *blockReader) commit(rec *record) {
 	r.off += rec.size
 	r.time = rec.time
 }
@@ -625,14 +630,10 @@ func (s *Store) fail(b int, err error) {
 // idx at or before t.
 func (s *Store) scanBlockFor(b, idx int, t uint64) (record, bool) {
 	r := s.reader(b)
-	var last record
+	var rec, last record
 	found := false
-	for {
-		rec, ok := r.next()
-		if !ok || rec.time > t {
-			break
-		}
-		r.commit(rec)
+	for r.next(&rec) && rec.time <= t {
+		r.commit(&rec)
 		if rec.sig == idx {
 			last, found = rec, true
 		}
@@ -705,12 +706,9 @@ func (s *Store) Materialize(paths ...string) {
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, bi := range order {
 		r := s.reader(int(bi))
-		for {
-			rec, ok := r.next()
-			if !ok {
-				break
-			}
-			r.commit(rec)
+		var rec record
+		for r.next(&rec) {
+			r.commit(&rec)
 			if rec.sig < len(byIdx) {
 				if tl := byIdx[rec.sig]; tl != nil {
 					tl.times = append(tl.times, rec.time)
@@ -811,53 +809,64 @@ type Cursor struct {
 	Time uint64
 }
 
-// walkUpTo is the one cursor-advancing record walk: it visits every
-// change record with time <= t starting at cursor c and returns the
-// advanced cursor. Both replay state sync (ApplyUpTo) and dirty-set
-// derivation (ScanChanges) run on it, so the cursor conventions —
-// where a partially consumed block leaves Off/Time, when a block is
-// abandoned for the next slot — cannot desynchronize between them.
-func (s *Store) walkUpTo(c Cursor, t uint64, visit func(rec record)) Cursor {
-	for c.Block < len(s.blocks) {
-		blockStart := s.blocks[c.Block].win * s.blockSize
-		if blockStart > t {
-			return c
-		}
-		if c.Off == 0 {
-			c.Time = blockStart
-		}
-		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time, v1: s.v1}
-		for {
-			rec, ok := r.next()
-			if !ok {
-				break
+// recordWalk is the one cursor-advancing record walk: next yields
+// every change record with time <= t from a starting cursor on, and c
+// is the advanced cursor once next reports false. Both replay state
+// sync (ApplyUpTo) and dirty-set derivation (ScanChanges) run on it, so
+// the cursor conventions — where a partially consumed block leaves
+// Off/Time, when a block is abandoned for the next slot — cannot
+// desynchronize between them. It is an iterator rather than a
+// callback so the record it decodes into stays on the caller's stack:
+// a pointer handed to a callback would move it to the heap once per
+// walk, and a record passed by value is an 88-byte copy per change.
+type recordWalk struct {
+	s    *Store
+	c    Cursor
+	t    uint64
+	r    blockReader
+	open bool // r is reading block c.Block
+}
+
+func (w *recordWalk) next(rec *record) bool {
+	s := w.s
+	for w.c.Block < len(s.blocks) {
+		blockStart := s.blocks[w.c.Block].win * s.blockSize
+		if !w.open {
+			if blockStart > w.t {
+				return false
 			}
-			if rec.time > t {
-				c.Off, c.Time = r.off, r.time
-				return c
+			if w.c.Off == 0 {
+				w.c.Time = blockStart
 			}
-			r.commit(rec)
-			visit(rec)
+			w.r = blockReader{buf: s.blockData(w.c.Block), off: w.c.Off, time: w.c.Time, v1: s.v1}
+			w.open = true
 		}
-		if r.err != nil {
+		if w.r.next(rec) {
+			if rec.time > w.t {
+				return false
+			}
+			w.r.commit(rec)
+			w.c.Off, w.c.Time = w.r.off, w.r.time
+			return true
+		}
+		if w.r.err != nil {
 			// Corrupt stream: poison the store and stop the walk where
 			// it stands rather than inventing records past the damage.
-			s.fail(c.Block, r.err)
-			c.Off, c.Time = r.off, r.time
-			return c
+			s.fail(w.c.Block, w.r.err)
+			return false
 		}
 		// Block exhausted; move on only once t covers its whole window,
 		// so a later call never skips records that belong to this block.
 		// The next slot's window start (possibly far later — blocks are
 		// sparse) is picked up at the top of the loop.
-		if blockStart+s.blockSize-1 > t {
-			c.Off, c.Time = r.off, r.time
-			return c
+		if blockStart+s.blockSize-1 > w.t {
+			return false
 		}
-		c.Block++
-		c.Off = 0
+		w.c.Block++
+		w.c.Off = 0
+		w.open = false
 	}
-	return c
+	return false
 }
 
 // ApplyUpTo replays every change with time <= t, starting at cursor c,
@@ -871,7 +880,9 @@ func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
 		panic(fmt.Sprintf("vcd: ApplyUpTo state too short: %d/%d words < %d",
 			len(state.V), len(state.X), s.stateWords))
 	}
-	return s.walkUpTo(c, t, func(rec record) {
+	w := recordWalk{s: s, c: c, t: t}
+	var rec record
+	for w.next(&rec) {
 		// rec.sig is validated against the signal list before a block is
 		// published (validateBlockStream / trusted parse), so the offset
 		// lookup is in range; word counts are clamped to the declared
@@ -890,7 +901,8 @@ func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
 			state.V[off+i] = v
 			state.X[off+i] = x
 		}
-	})
+	}
+	return w.c
 }
 
 // ScanChanges invokes fn with the signal index of every change record
@@ -900,7 +912,12 @@ func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
 // streams — the cost of one forward edge is the records inside it,
 // near zero on idle stretches.
 func (s *Store) ScanChanges(c Cursor, t uint64, fn func(sig int)) Cursor {
-	return s.walkUpTo(c, t, func(rec record) { fn(rec.sig) })
+	w := recordWalk{s: s, c: c, t: t}
+	var rec record
+	for w.next(&rec) {
+		fn(rec.sig)
+	}
+	return w.c
 }
 
 // SeekCursor returns a cursor positioned just past every change record
@@ -931,7 +948,8 @@ func (s *Store) NextChangeTime(c Cursor) (uint64, bool) {
 			c.Time = s.blocks[c.Block].win * s.blockSize
 		}
 		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time, v1: s.v1}
-		if rec, ok := r.next(); ok {
+		var rec record
+		if r.next(&rec) {
 			return rec.time, true
 		}
 		if r.err != nil {

@@ -167,7 +167,7 @@ func TestStoreHierarchy(t *testing.T) {
 }
 
 // TestCursorWindowBoundaries pins the cursor conventions of the shared
-// walk (walkUpTo) at exact block-window edges — the times where an
+// walk (recordWalk) at exact block-window edges — the times where an
 // off-by-one between "partially covered" and "exhausted" block
 // handling would corrupt resumed sweeps. For every boundary-adjacent
 // time: SeekCursor must equal the cursor a from-zero ScanChanges walk
