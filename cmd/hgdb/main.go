@@ -75,8 +75,10 @@ func main() {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	cl, err := client.DialOpts(fs.Arg(0), client.Options{Runtime: *runtimeID})
-	if err != nil {
+	// Subscribe before connecting so no event of the attach is missed.
+	cl := client.NewOpts(fs.Arg(0), client.Options{Runtime: *runtimeID})
+	events := cl.Subscribe(16)
+	if err := cl.Connect(); err != nil {
 		fmt.Fprintf(os.Stderr, "hgdb: %v\n", err)
 		os.Exit(1)
 	}
@@ -84,7 +86,7 @@ func main() {
 
 	// Print events as they arrive.
 	go func() {
-		for ev := range cl.Events {
+		for ev := range events.C {
 			if ev.Type == "disconnect" {
 				fmt.Println("\nconnection closed")
 				os.Exit(0)

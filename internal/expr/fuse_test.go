@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -368,5 +369,31 @@ func TestFusedExecZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fused exec allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestFuseRegisterFileLimit pins the fused schedule's size limit:
+// operand indices are uint16, so a condition set with 1<<16 distinct
+// operands is rejected with the register-file error (the scheduler then
+// falls back to per-group evaluation), and the same set minus one
+// condition still fuses with every operand distinct.
+func TestFuseRegisterFileLimit(t *testing.T) {
+	p, err := Compile(MustParse("x != 0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conds := make([]FusedCondition, 1<<16)
+	for i := range conds {
+		conds[i] = FusedCondition{Cond: p, CondSlots: []int{i}}
+	}
+	if _, err := Fuse(conds); err == nil || !strings.Contains(err.Error(), "exceeds register file") {
+		t.Fatalf("Fuse(%d distinct operands) err = %v, want the register-file rejection", len(conds), err)
+	}
+	fs, err := Fuse(conds[:len(conds)-1])
+	if err != nil {
+		t.Fatalf("Fuse(%d distinct operands): %v", len(conds)-1, err)
+	}
+	if fs.Stats.Operands != len(conds)-1 || fs.Slots[len(fs.Slots)-1] != len(conds)-2 {
+		t.Fatalf("operand table: %d operands, last slot %d", fs.Stats.Operands, fs.Slots[len(fs.Slots)-1])
 	}
 }

@@ -18,7 +18,7 @@ import (
 // Frame layout:
 //
 //	byte 0: magic 0xB5
-//	byte 1: version (1 or 2)
+//	byte 1: version (binVersion, currently 3)
 //	byte 2: kind — kindStop | kindDelta | kindGeneric
 //	...     kind-specific body (see encode/decode pairs below)
 //
@@ -28,10 +28,8 @@ import (
 // Version 3 grew the hub routing fields on generic frames: the
 // runtime id a session is attached to (welcome/goodbye behind a hub)
 // and the registry size (hub-welcome). Stop and delta frames are
-// unchanged from version 2. The encoder always emits version 3; the
-// decoder accepts versions 1 and 2 too (their layouts are strict
-// subsets), so a newer client can still read a stream recorded by an
-// older server.
+// unchanged from version 2. The encoder emits only version 3, and the
+// decoder rejects every other version with an error naming it.
 //
 // The codec is attacker-facing (a malicious server could feed a client
 // arbitrary frames), so DecodeBinaryFrame bounds every count before
@@ -47,7 +45,7 @@ const (
 	kindGeneric = 3 // welcome/attach/goodbye/control/resume
 )
 
-// Variable/patch flag bits (version ≥ 2).
+// Variable/patch flag bits.
 const (
 	varUnknown = 1 << 0 // backend read failed
 	varHasX    = 1 << 1 // x-plane low word follows
@@ -90,7 +88,6 @@ func appendBool(dst []byte, b bool) []byte {
 type binReader struct {
 	buf []byte
 	off int
-	ver byte
 }
 
 func (r *binReader) uvarint() (uint64, error) {
@@ -261,10 +258,6 @@ func (r *binReader) variable() (core.Variable, error) {
 	if v.Width, err = r.int(); err != nil {
 		return v, err
 	}
-	if r.ver < 2 {
-		v.Unknown, err = r.bool()
-		return v, err
-	}
 	flags, err := r.byte()
 	if err != nil {
 		return v, err
@@ -363,9 +356,6 @@ func (r *binReader) watch() ([]core.WatchHit, error) {
 		}
 		if h.New, err = r.uvarint(); err != nil {
 			return nil, err
-		}
-		if r.ver < 2 {
-			continue
 		}
 		if h.OldDisplay, err = r.string(); err != nil {
 			return nil, err
@@ -503,12 +493,6 @@ func (r *binReader) patches() ([]VarPatch, error) {
 		}
 		if p.Value, err = r.uvarint(); err != nil {
 			return nil, err
-		}
-		if r.ver < 2 {
-			if p.Unknown, err = r.bool(); err != nil {
-				return nil, err
-			}
-			continue
 		}
 		flags, err := r.byte()
 		if err != nil {
@@ -658,9 +642,6 @@ func (r *binReader) generic() (*Event, error) {
 	if ev.Reverse, err = r.bool(); err != nil {
 		return nil, err
 	}
-	if r.ver < 3 {
-		return ev, nil
-	}
 	if ev.Runtime, err = r.string(); err != nil {
 		return nil, err
 	}
@@ -698,10 +679,10 @@ func DecodeBinaryFrame(frame []byte) (*Event, error) {
 	if frame[0] != binMagic {
 		return nil, fmt.Errorf("proto: bad binary frame magic %#x", frame[0])
 	}
-	if frame[1] < 1 || frame[1] > binVersion {
-		return nil, fmt.Errorf("proto: unsupported binary frame version %d", frame[1])
+	if frame[1] != binVersion {
+		return nil, fmt.Errorf("proto: unsupported binary frame version %d (this build reads version %d)", frame[1], binVersion)
 	}
-	r := &binReader{buf: frame, off: 3, ver: frame[1]}
+	r := &binReader{buf: frame, off: 3}
 	var ev *Event
 	var err error
 	switch frame[2] {

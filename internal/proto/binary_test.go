@@ -2,8 +2,10 @@ package proto
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -96,6 +98,42 @@ func TestBinaryRoundTripGeneric(t *testing.T) {
 	}
 }
 
+// legacyBinaryFrames hand-assembles frames in the retired version-1
+// and version-2 layouts: a v1 stop whose variables carry an unknown
+// bool instead of a flags byte and whose watch hits carry no display
+// strings, and a v2 welcome without the hub routing fields.
+func legacyBinaryFrames() [][]byte {
+	v1 := []byte{binMagic, 1, kindStop}
+	v1 = appendStopHeader(v1, 3, 0, 9, "a.go", 4, 0, false, false)
+	v1 = appendUvarint(v1, 1) // watch hits
+	v1 = appendUvarint(v1, 1)
+	v1 = appendString(v1, "Top")
+	v1 = appendString(v1, "x")
+	v1 = appendUvarint(v1, 0)
+	v1 = appendUvarint(v1, 1)
+	v1 = appendUvarint(v1, 1) // threads
+	v1 = appendUvarint(v1, 1)
+	v1 = appendString(v1, "Top")
+	v1 = appendUvarint(v1, 1) // locals
+	v1 = appendString(v1, "x")
+	v1 = appendString(v1, "Top.x")
+	v1 = appendUvarint(v1, 1)
+	v1 = appendUvarint(v1, 8)
+	v1 = appendBool(v1, false) // unknown
+	v1 = appendUvarint(v1, 0)  // generator
+
+	v2 := []byte{binMagic, 2, kindGeneric}
+	v2 = appendString(v2, "welcome")
+	for _, n := range []uint64{1, 0, 2, 2, 1, 3} { // seq, emit, session, controller, peers, files
+		v2 = appendUvarint(v2, n)
+	}
+	for _, str := range []string{RoleController, "", "Top", "live", ""} { // role, reason, top, mode, command
+		v2 = appendString(v2, str)
+	}
+	v2 = appendBool(v2, false) // reverse
+	return [][]byte{v1, v2}
+}
+
 // TestBinaryDecodeRejects pins the defensive paths a fuzzer would find:
 // truncation, bad header, hostile counts, trailing garbage.
 func TestBinaryDecodeRejects(t *testing.T) {
@@ -129,6 +167,27 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := DecodeBinaryFrame(tc.frame); err == nil {
 			t.Errorf("%s: decode succeeded on malformed frame", tc.name)
+		}
+	}
+
+	// Only binVersion decodes: a real frame restamped with any other
+	// version — including the retired 1 and 2, whose stop layout v3
+	// kept — and the hand-built legacy frames fail with an error that
+	// names the version found.
+	badVersion := func(ver byte) []byte {
+		frame := append([]byte(nil), good...)
+		frame[1] = ver
+		return frame
+	}
+	versioned := append([][]byte{badVersion(0), badVersion(1), badVersion(2), badVersion(4)}, legacyBinaryFrames()...)
+	for _, frame := range versioned {
+		_, err := DecodeBinaryFrame(frame)
+		if err == nil {
+			t.Errorf("bad version %d: decode succeeded", frame[1])
+			continue
+		}
+		if want := fmt.Sprintf("version %d", frame[1]); !strings.Contains(err.Error(), want) {
+			t.Errorf("bad version %d: error %q does not mention %q", frame[1], err, want)
 		}
 	}
 
@@ -196,6 +255,10 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 		}
 		f.Add(EncodeBinaryEvent(&Event{Type: "stop", Seq: 21, Emit: 4,
 			Delta: DiffStop(20, base, next)}))
+	}
+	// Retired v1/v2 layouts — must be rejected, never decoded.
+	for _, frame := range legacyBinaryFrames() {
+		f.Add(frame)
 	}
 	// Degenerate inputs.
 	f.Add([]byte{})

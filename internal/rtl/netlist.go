@@ -8,7 +8,6 @@ package rtl
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // SignalKind classifies netlist signals.
@@ -156,12 +155,4 @@ func (nl *Netlist) addSignal(name string, width int, signed bool, kind SignalKin
 	nl.Signals = append(nl.Signals, s)
 	nl.byName[name] = s
 	return s
-}
-
-// localName strips the instance path prefix from a full signal name.
-func localName(full string) string {
-	if i := strings.LastIndexByte(full, '.'); i >= 0 {
-		return full[i+1:]
-	}
-	return full
 }

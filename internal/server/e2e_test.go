@@ -476,15 +476,21 @@ func TestClientReconnect(t *testing.T) {
 	}
 }
 
-// TestDisconnectSentinelSurvivesFullEventBuffer: a client whose Events
-// buffer is saturated with unread broadcasts must still learn that the
-// connection died — the sentinel evicts an old event instead of being
-// dropped.
+// TestDisconnectSentinelSurvivesFullEventBuffer: a client whose
+// catch-all subscription is saturated with unread broadcasts must
+// still learn that the connection died — the sentinel evicts an old
+// event instead of being dropped, on that subscription as well as on
+// the typed queue behind WaitEvent.
 func TestDisconnectSentinelSurvivesFullEventBuffer(t *testing.T) {
 	addr, _, _ := startServerAddr(t)
-	cl := dialClient(t, addr)
-	// Saturate cl's event buffer (cap 16) with attach/goodbye chatter
-	// it never reads.
+	cl := client.New(addr)
+	all := cl.Subscribe(16)
+	if err := cl.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	// Saturate the subscription (cap 16) with the welcome plus 24
+	// attach/goodbye events it never reads.
 	for i := 0; i < 12; i++ {
 		peer, err := client.Dial(addr)
 		if err != nil {
@@ -495,9 +501,25 @@ func TestDisconnectSentinelSurvivesFullEventBuffer(t *testing.T) {
 		}
 		peer.Close()
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(all.C) < cap(all.C) {
+		if time.Now().After(deadline) {
+			t.Fatalf("subscription holds %d of %d events; never saturated", len(all.C), cap(all.C))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	cl.Close()
 	if _, err := cl.WaitEvent("disconnect", 5*time.Second); err != nil {
-		t.Fatalf("disconnect sentinel lost in a full buffer: %v", err)
+		t.Fatalf("disconnect sentinel lost in a full typed queue: %v", err)
+	}
+	// The sentinel is delivered to every consumer in one step, so it is
+	// already queued on the subscription — as its newest event.
+	var last *proto.Event
+	for len(all.C) > 0 {
+		last = <-all.C
+	}
+	if last == nil || last.Type != "disconnect" {
+		t.Fatalf("full subscription's last event = %+v, want the disconnect sentinel", last)
 	}
 }
 

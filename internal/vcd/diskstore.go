@@ -46,13 +46,10 @@ const (
 	// package. Version 2 added the four-state value planes: block
 	// records carry an optional unknown-bit word stream and wide
 	// (>64-bit) value words, signal rows carry packed last-value
-	// planes, and the header records x/z statistics. OpenStore still
-	// reads version-1 files (two-state, values masked to 64 bits at
-	// index time) and rejects versions newer than this with a clear
-	// error rather than misdecoding them.
+	// planes, and the header records x/z statistics. OpenStore reads
+	// only this version and rejects any other with an error naming
+	// the version found, rather than misdecoding it.
 	StoreVersion = 2
-	// storeVersionV1 is the legacy two-state format.
-	storeVersionV1 = 1
 
 	headerSize  = 64
 	maxSections = 64
@@ -166,7 +163,7 @@ func encodeSignals(list []*StoreSignal, strs *stringTable) []byte {
 		// Last-value planes, one row of nw words per indexed block: an
 		// x-plane presence flag, then the value words, then (only when
 		// present) the x words. A fully two-state signal costs one flag
-		// byte over the v1 encoding.
+		// byte over its value words.
 		if len(ts.blkIdx) > 0 {
 			xflag := uint64(0)
 			if ts.last.x != nil {
@@ -584,13 +581,10 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	}
 	version := binary.LittleEndian.Uint32(h[8:12])
 	switch {
-	case version == storeVersionV1 || version == StoreVersion:
-		// v1 (legacy two-state) opens read-only through the v1 record
-		// decoder; v2 is current.
 	case version > StoreVersion:
 		return nil, fmt.Errorf("vcd: store version %d was created by a newer hgdb; this build reads up to version %d — re-index the trace or upgrade", version, StoreVersion)
-	default:
-		return nil, fmt.Errorf("vcd: store version %d not supported (want %d or %d)", version, storeVersionV1, StoreVersion)
+	case version != StoreVersion:
+		return nil, fmt.Errorf("vcd: store version %d not supported (this build reads version %d) — re-index the trace", version, StoreVersion)
 	}
 	sectionCount := binary.LittleEndian.Uint32(h[12:16])
 	tableOff := binary.LittleEndian.Uint64(h[16:24])
@@ -599,15 +593,8 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	numSignals := binary.LittleEndian.Uint32(h[40:44])
 	numBlocks := binary.LittleEndian.Uint32(h[44:48])
 	changes := binary.LittleEndian.Uint64(h[48:56])
-	// v2 header: x/z change count at 56, widest literal at 60. The v1
-	// header stored its masked-wide-change count at 56; a v1 store holds
-	// no x/z by construction, so both stats read as zero there (MaxWidth
-	// is reconstructed from the declared signal widths below).
-	var xz, maxWidth uint32
-	if version >= StoreVersion {
-		xz = binary.LittleEndian.Uint32(h[56:60])
-		maxWidth = binary.LittleEndian.Uint32(h[60:64])
-	}
+	xz := binary.LittleEndian.Uint32(h[56:60])
+	maxWidth := binary.LittleEndian.Uint32(h[60:64])
 	if blockSize == 0 {
 		return nil, fmt.Errorf("vcd: store: zero block size")
 	}
@@ -701,7 +688,6 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		blockSize: blockSize,
 		sigs:      make(map[string]*StoreSignal, numSignals),
 		changes:   int(changes),
-		v1:        version == storeVersionV1,
 		src:       r,
 		cache:     newBlockCache(cacheBytes),
 	}
@@ -801,41 +787,29 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 				prev = uint32(bi)
 				ts.blkIdx = append(ts.blkIdx, uint32(bi))
 			}
-			if st.v1 {
-				// v1 row: one plain value word per indexed block.
-				ts.last.v = make([]uint64, 0, k*uint64(nw))
-				for j := uint64(0); j < k; j++ {
-					w := gr.uvarint()
-					ts.last.v = append(ts.last.v, w)
-					for p := 1; p < nw; p++ {
-						ts.last.v = append(ts.last.v, 0)
-					}
-				}
-			} else {
-				// v2 row: x-plane flag, k*nw value words, then (when the
-				// flag is set) k*nw x words. Every word is at least one
-				// byte, so the row count is bounded against the section
-				// before allocation.
-				xflag := gr.uvarint()
-				if gr.err == nil && xflag > 1 {
-					return nil, fmt.Errorf("vcd: store: signal %d: bad x-plane flag %d", i, xflag)
-				}
-				words := k * uint64(nw)
-				if xflag != 0 {
-					words *= 2
-				}
-				if words > uint64(gr.remaining())+1 {
-					return nil, fmt.Errorf("vcd: store: signal %d: %d last-value words cannot fit the section", i, words)
-				}
-				ts.last.v = make([]uint64, 0, k*uint64(nw))
+			// Last-value row: x-plane flag, k*nw value words, then
+			// (when the flag is set) k*nw x words. Every word is at
+			// least one byte, so the row count is bounded against the
+			// section before allocation.
+			xflag := gr.uvarint()
+			if gr.err == nil && xflag > 1 {
+				return nil, fmt.Errorf("vcd: store: signal %d: bad x-plane flag %d", i, xflag)
+			}
+			words := k * uint64(nw)
+			if xflag != 0 {
+				words *= 2
+			}
+			if words > uint64(gr.remaining())+1 {
+				return nil, fmt.Errorf("vcd: store: signal %d: %d last-value words cannot fit the section", i, words)
+			}
+			ts.last.v = make([]uint64, 0, k*uint64(nw))
+			for j := uint64(0); j < k*uint64(nw); j++ {
+				ts.last.v = append(ts.last.v, gr.uvarint())
+			}
+			if xflag != 0 {
+				ts.last.x = make([]uint64, 0, k*uint64(nw))
 				for j := uint64(0); j < k*uint64(nw); j++ {
-					ts.last.v = append(ts.last.v, gr.uvarint())
-				}
-				if xflag != 0 {
-					ts.last.x = make([]uint64, 0, k*uint64(nw))
-					for j := uint64(0); j < k*uint64(nw); j++ {
-						ts.last.x = append(ts.last.x, gr.uvarint())
-					}
+					ts.last.x = append(ts.last.x, gr.uvarint())
 				}
 			}
 			if gr.err != nil {
@@ -846,15 +820,6 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		st.sigs[ts.Name] = ts
 	}
 	st.finalizeLayout()
-	if st.v1 {
-		// The v1 header had no width statistic; the widest declared
-		// signal that actually changed is the faithful reconstruction.
-		for _, ts := range st.list {
-			if ts.n > 0 && ts.Width > st.Stats.MaxWidth {
-				st.Stats.MaxWidth = ts.Width
-			}
-		}
-	}
 
 	// Hierarchy.
 	hr := &byteReader{b: hierB}
@@ -1014,7 +979,7 @@ func (s *Store) validateBlockStream(slot int, buf []byte) error {
 	if end < start {
 		end = ^uint64(0)
 	}
-	r := blockReader{buf: buf, time: start, v1: s.v1}
+	r := blockReader{buf: buf, time: start}
 	var rec record
 	for r.next(&rec) {
 		r.commit(&rec)
@@ -1024,14 +989,12 @@ func (s *Store) validateBlockStream(slot int, buf []byte) error {
 		if rec.time > end {
 			return fmt.Errorf("vcd: block %d (window %d): record time %d outside window", slot, b.win, rec.time)
 		}
-		// A v2 record's plane word count is fixed by the signal's
-		// declared width: wide exactly when the signal needs more than
-		// one word, and then exactly nw-1 extra words.
-		if !s.v1 {
-			if want := s.list[rec.sig].nw() - 1; len(rec.vh) != want {
-				return fmt.Errorf("vcd: block %d (window %d): record for %d-bit signal %d carries %d extra value words (want %d)",
-					slot, b.win, s.list[rec.sig].Width, rec.sig, len(rec.vh), want)
-			}
+		// A record's plane word count is fixed by the signal's declared
+		// width: wide exactly when the signal needs more than one word,
+		// and then exactly nw-1 extra words.
+		if want := s.list[rec.sig].nw() - 1; len(rec.vh) != want {
+			return fmt.Errorf("vcd: block %d (window %d): record for %d-bit signal %d carries %d extra value words (want %d)",
+				slot, b.win, s.list[rec.sig].Width, rec.sig, len(rec.vh), want)
 		}
 	}
 	if r.err != nil {

@@ -477,16 +477,6 @@ func TestBlockReaderHostile(t *testing.T) {
 	if !ok || r.err != nil || rec.sig != 3 || rec.time != 107 || rec.v0 != 99 || rec.x0 != 0 {
 		t.Fatalf("valid stream misdecoded: %+v ok=%v err=%v", rec, ok, r.err)
 	}
-	// And the legacy v1 three-varint form through the v1 reader.
-	var v1good []byte
-	v1good = binary.AppendUvarint(v1good, 3)
-	v1good = binary.AppendUvarint(v1good, 7)
-	v1good = binary.AppendUvarint(v1good, 99)
-	r = blockReader{buf: v1good, time: 100, v1: true}
-	ok = r.next(&rec)
-	if !ok || r.err != nil || rec.sig != 3 || rec.time != 107 || rec.v0 != 99 {
-		t.Fatalf("valid v1 stream misdecoded: %+v ok=%v err=%v", rec, ok, r.err)
-	}
 	// A four-state wide record round-trips through appendRecord.
 	b, err := val.ParseVCD("1x"+strings.Repeat("01", 40), 82)
 	if err != nil {
@@ -605,7 +595,7 @@ func FuzzOpenStore(f *testing.F) {
 	}
 	f.Add(bufX.Bytes())
 	f.Add(fourState)
-	// Legacy version-1 file — the read-only compatibility path.
+	// Legacy version-1 file — must be rejected, never decoded.
 	f.Add(buildV1Store(f))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := OpenStore(bytes.NewReader(b), int64(len(b)), OpenOptions{BlockCacheBytes: 1 << 16})
@@ -644,8 +634,8 @@ func FuzzOpenStore(f *testing.F) {
 
 // buildV1Store hand-assembles a legacy version-1 store file: two-state
 // three-varint records, plain single-word last-value rows, no x/z
-// header statistics. It is the compatibility fixture for the files an
-// older hgdb-index wrote before the four-state format bump.
+// header statistics — the files an older hgdb-index wrote before the
+// four-state format bump. It is the fixture for their rejection.
 func buildV1Store(t testing.TB) []byte {
 	t.Helper()
 	// Signals: top.a (8 bits, changes at t=0→1 and t=5→9) and
@@ -725,7 +715,7 @@ func buildV1Store(t testing.TB) []byte {
 
 	h := make([]byte, headerSize)
 	copy(h[0:8], storeMagic[:])
-	binary.LittleEndian.PutUint32(h[8:12], storeVersionV1)
+	binary.LittleEndian.PutUint32(h[8:12], 1)
 	binary.LittleEndian.PutUint32(h[12:16], uint32(len(secs)))
 	binary.LittleEndian.PutUint64(h[16:24], tableOff)
 	binary.LittleEndian.PutUint64(h[24:32], 16) // block size
@@ -737,45 +727,23 @@ func buildV1Store(t testing.TB) []byte {
 	return append(append(h, table...), body...)
 }
 
-// TestOpenStoreV1Legacy pins backwards compatibility: a version-1
-// (two-state) store file still opens read-only and serves correct
-// values through every query path, with MaxWidth reconstructed from
-// the declared widths.
-func TestOpenStoreV1Legacy(t *testing.T) {
+// TestOpenStoreRejectsV1 pins the old-version rejection: a version-1
+// (two-state) store file must fail to open with an error naming the
+// version found and the one this build reads — not a generic
+// corruption message and never a misdecode.
+func TestOpenStoreRejectsV1(t *testing.T) {
 	raw := buildV1Store(t)
 	st, err := OpenStore(bytes.NewReader(raw), int64(len(raw)), OpenOptions{})
-	if err != nil {
-		t.Fatalf("OpenStore(v1): %v", err)
+	if err == nil {
+		t.Fatalf("version-1 store opened (%d signals)", len(st.SignalNames()))
 	}
-	if !st.v1 {
-		t.Fatal("v1 store not flagged as legacy")
+	if errors.Is(err, ErrNotStore) {
+		t.Fatalf("version 1 misclassified as not-a-store: %v", err)
 	}
-	a, ok := st.Signal("top.a")
-	if !ok {
-		t.Fatal("top.a missing")
-	}
-	if got := a.ValueAt(0); got != 1 {
-		t.Fatalf("a@0 = %d, want 1", got)
-	}
-	if got := a.ValueAt(5); got != 9 {
-		t.Fatalf("a@5 = %d, want 9", got)
-	}
-	if b := a.BitsAt(5); b.HasX() || b.Width != 8 || b.V0 != 9 {
-		t.Fatalf("a@5 bits = %s", b.String())
-	}
-	state := st.NewState()
-	st.ApplyUpTo(Cursor{}, st.MaxTime, state)
-	if got := st.StateBits(state, a); got.V0 != 9 {
-		t.Fatalf("state a = %s, want 9", got.String())
-	}
-	if st.Stats.XZChanges != 0 {
-		t.Fatalf("v1 store reports %d x/z changes", st.Stats.XZChanges)
-	}
-	if st.Stats.MaxWidth != 8 {
-		t.Fatalf("v1 MaxWidth = %d, want 8 (reconstructed from widths)", st.Stats.MaxWidth)
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"version 1 ", fmt.Sprintf("version %d", StoreVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

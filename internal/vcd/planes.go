@@ -67,9 +67,6 @@ func (p *planeSeq) setLast(b val.Bits) {
 	}
 }
 
-// word0 returns entry i's low value word — the two-state legacy view.
-func (p *planeSeq) word0(i int) uint64 { return p.v[i*p.nw] }
-
 // bits returns entry i as a val.Bits of the given width, aliasing the
 // packed planes (no copy).
 func (p *planeSeq) bits(i, width int) val.Bits {

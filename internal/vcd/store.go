@@ -180,11 +180,6 @@ type Store struct {
 	blocks    []storeBlock
 	changes   int
 
-	// v1 marks a store opened from a version-1 file: block record
-	// streams use the legacy 3-varint two-state encoding (values were
-	// masked to their low 64 bits at index time), read-only.
-	v1 bool
-
 	// Packed replay-state layout: signal i's planes live at word
 	// offset wordOff[i], sigWords(width) words each, stateWords total.
 	// Computed once the signal list is final (finalizeLayout).
@@ -340,7 +335,7 @@ func (g *storeIngest) vardecl(id string, width int, full string) {
 //	if wide: uvarint(k), k value words, then (if hasX) k x words
 //
 // A fully known narrow change — the overwhelmingly common case — costs
-// exactly the three varints the v1 format did.
+// exactly three varints.
 func appendRecord(dst []byte, sig int, dt uint64, b val.Bits) []byte {
 	hasX := b.HasX()
 	wide := b.Words() > 1
@@ -499,10 +494,9 @@ func (rec *record) bits(width int) val.Bits {
 }
 
 // blockReader iterates a block's compact record stream. It is the one
-// place the record encoding (see appendRecord; v1 streams are the
-// legacy three-varint form) is decoded; every consumer — lazy point
-// queries, materialization, state sweeps — shares it so the format
-// cannot desynchronize between them. next decodes without consuming;
+// place the record encoding (see appendRecord) is decoded; every
+// consumer — lazy point queries, materialization, state sweeps —
+// shares it so the format cannot desynchronize between them. next decodes without consuming;
 // commit consumes, which is what lets ApplyUpTo stop exactly before
 // the first record past its target time.
 //
@@ -515,7 +509,6 @@ type blockReader struct {
 	buf  []byte
 	off  int
 	time uint64 // delta base: window start, or a resumed cursor's time
-	v1   bool   // legacy three-varint record format
 	err  error
 }
 
@@ -533,7 +526,7 @@ func (s *Store) blockData(b int) []byte {
 
 // reader returns a blockReader positioned at the start of block slot b.
 func (s *Store) reader(b int) blockReader {
-	return blockReader{buf: s.blockData(b), time: s.blocks[b].win * s.blockSize, v1: s.v1}
+	return blockReader{buf: s.blockData(b), time: s.blocks[b].win * s.blockSize}
 }
 
 var errCorruptRecord = fmt.Errorf("vcd: corrupt block record stream")
@@ -569,10 +562,6 @@ func (r *blockReader) next(rec *record) bool {
 	v0, ok := r.uv(&off, "value")
 	if !ok {
 		return false
-	}
-	if r.v1 {
-		*rec = record{sig: int(head), time: r.time + dt, v0: v0, size: off - r.off}
-		return true
 	}
 	*rec = record{sig: int(head >> 2), time: r.time + dt, v0: v0}
 	hasX := head&1 != 0
@@ -838,7 +827,7 @@ func (w *recordWalk) next(rec *record) bool {
 			if w.c.Off == 0 {
 				w.c.Time = blockStart
 			}
-			w.r = blockReader{buf: s.blockData(w.c.Block), off: w.c.Off, time: w.c.Time, v1: s.v1}
+			w.r = blockReader{buf: s.blockData(w.c.Block), off: w.c.Off, time: w.c.Time}
 			w.open = true
 		}
 		if w.r.next(rec) {
@@ -947,7 +936,7 @@ func (s *Store) NextChangeTime(c Cursor) (uint64, bool) {
 		if c.Off == 0 {
 			c.Time = s.blocks[c.Block].win * s.blockSize
 		}
-		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time, v1: s.v1}
+		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time}
 		var rec record
 		if r.next(&rec) {
 			return rec.time, true
