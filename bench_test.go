@@ -897,6 +897,81 @@ func BenchmarkReplayReverseStep(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayContinue measures a continue over the recorded vvadd
+// trace: one replayed clock edge per op with 48 conditional breakpoints
+// armed on the core that never fire, so each edge is the change poll
+// (the edge's one record walk, which also syncs the replay state), the
+// dirty-slot reads and the fused evaluation. Steady state allocates
+// nothing. Wrapping back to the trace start is untimed.
+func BenchmarkReplayContinue(b *testing.B) {
+	st, err := vcd.ParseStore(bytes.NewReader(riscvTraceVCD(b)), vcd.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := riscv.NewMachine(1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := replay.NewStore(st)
+	rt, err := core.New(eng, m.Table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Every other distinct statement of the core, each comparing a mix
+	// of busy (pc, cycle_r) and mostly idle core signals against a
+	// constant the kernel never produces.
+	deps := []string{"pc", "instr", "rv1", "rv2", "rd", "rs1", "funct3", "immI", "retired_r", "cycle_r"}
+	type stmt struct {
+		file string
+		line int
+	}
+	seen := map[stmt]bool{}
+	armed, n := 0, 0
+	for _, bp := range m.Table.AllBreakpoints() {
+		if bp.InstanceName != m.Table.Top()+".core0" || seen[stmt{bp.Filename, bp.Line}] {
+			continue
+		}
+		seen[stmt{bp.Filename, bp.Line}] = true
+		if n++; n%2 != 0 || armed >= 48 {
+			continue
+		}
+		a, c := deps[armed%len(deps)], deps[(2*armed+1)%len(deps)]
+		cond := fmt.Sprintf("%s + %s == %d", a, c, 0x7F000000+armed)
+		ids, err := rt.AddBreakpointInstance(bp.Filename, bp.Line, bp.InstanceName, cond)
+		if err != nil {
+			b.Fatal(err)
+		}
+		armed += len(ids)
+	}
+	if armed < 40 {
+		b.Fatalf("armed %d breakpoints, want ~48", armed)
+	}
+	rt.SetHandler(func(ev *core.StopEvent) core.Command {
+		b.Fatalf("never-firing breakpoint stopped at t=%d", ev.Time)
+		return core.CmdDetach
+	})
+	edge := func() {
+		if !eng.StepForward() {
+			b.StopTimer()
+			eng.SetTime(0)
+			b.StartTimer()
+			eng.StepForward()
+		}
+	}
+	for range 2000 { // warm: checkpoints, fused schedule, frame plans
+		edge()
+	}
+	evals0, _ := rt.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edge()
+	}
+	b.StopTimer()
+	evals, _ := rt.Stats()
+	b.ReportMetric(float64(evals-evals0)/float64(b.N), "evals/edge")
+}
+
 // BenchmarkStopFrame measures one stepped stop on the one-core SoC
 // running vvadd: the step scheduling, every enabled statement's
 // evaluation and the stop frame's construction (plan lookup plus one

@@ -115,13 +115,6 @@ func (rt *Runtime) rebuildDeps() {
 	if cap(rt.incoming) < len(rt.depUnion) {
 		rt.incoming = make([]eval.Value, len(rt.depUnion))
 	}
-	// Advise capable backends of the per-cycle read set: a replay block
-	// store materializes exactly these signals' timelines, so the
-	// batched read below never decodes trace blocks or moves replay
-	// state mid-schedule.
-	if p, ok := rt.backend.(vpi.Prefetcher); ok && len(rt.depUnion) > 0 {
-		p.Prefetch(rt.depUnion)
-	}
 	// Register the union as the backend's dirty-set watch list. Always
 	// re-registered (even empty) so a stale list cannot linger; the
 	// first poll after registration reports everything changed.

@@ -11,8 +11,9 @@
 // Conditions compile once at insertion time to register bytecode
 // (expr.Compile → eval.Machine) and each edge issues one batched read
 // of the armed dependency union; on backends implementing
-// vpi.Prefetcher (the replay block store) that union is advised ahead
-// of time so per-cycle reads stay off cold trace state. See DESIGN.md.
+// vpi.ChangeReporter only the slots reported dirty are re-read (on the
+// replay engine the change poll also syncs the state those reads come
+// from). See DESIGN.md.
 package core
 
 import (

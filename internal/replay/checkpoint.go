@@ -10,21 +10,20 @@ import (
 )
 
 // This file is the checkpointed state machine behind NewStore. The
-// block store holds undecoded change records; reconstructing "the value
-// of signal X at time t" therefore has two paths:
+// block store holds undecoded change records; every value the engine
+// returns — per-edge condition reads, frame reconstruction at a stop,
+// raw get_value requests — comes from one full signal-state array that
+// is synced to the query time by replaying change records. Forward
+// syncs are incremental; backward syncs restore the nearest
+// value-snapshot checkpoint at or before t and replay forward from
+// there, so a reverse step costs O(checkpoint interval) records
+// instead of O(t) — the difference between usable and unusable reverse
+// debugging on long traces.
 //
-//   - Materialized signals (the debugger's breakpoint/watch dependency
-//     union, advised via Prefetch) answer by binary search over their
-//     decoded timelines — per-cycle condition evaluation never moves
-//     any shared state and stays allocation-free.
-//   - Everything else (frame reconstruction at a stop, raw get_value
-//     requests) reads from a full signal-state array that is synced to
-//     the query time by replaying change records. Forward syncs are
-//     incremental; backward syncs restore the nearest value-snapshot
-//     checkpoint at or before t and replay forward from there, so a
-//     reverse step costs O(checkpoint interval) records instead of
-//     O(t) — the difference between usable and unusable reverse
-//     debugging on long traces.
+// The per-edge change poll (vpi.ChangeReporter) is that same forward
+// sync: the sweep that applies an edge's records also marks the
+// tracked signals among them, so each record is decoded once per edge
+// and the reads that follow the poll are O(1) state lookups.
 //
 // Checkpoints are created lazily: whenever a forward sync crosses a
 // checkpoint boundary for the first time, the state array and stream
@@ -66,11 +65,10 @@ type storeBacking struct {
 	st       *vcd.Store
 	interval uint64
 
-	// mu guards the mutable replay state below. Syncing moves shared
-	// state, and the debug server dispatches raw get_value reads on
-	// connection goroutines while the simulation goroutine replays —
-	// both can land in sync at once. Materialized reads never take the
-	// lock; they see an immutable timeline.
+	// mu guards all mutable state below. Syncing moves shared state,
+	// and the debug server dispatches raw get_value reads on connection
+	// goroutines while the simulation goroutine replays and polls — any
+	// of them can land in sync at once.
 	mu sync.Mutex
 
 	// Replay state: the packed four-state planes of every signal at
@@ -85,23 +83,21 @@ type storeBacking struct {
 	cps     map[uint64]*snapshot
 	cpTimes []uint64
 
-	// Dirty-set tracking (vpi.ChangeReporter): trSlot maps signal index
-	// → tracked slot, trCur walks the store's change-record stream so a
-	// forward poll costs exactly the records since the last poll — the
-	// per-block change records the store already holds give the edge's
-	// change set for free. A backward or discontinuous move re-anchors
-	// the cursor with SeekCursor and reports "cannot bound" once.
-	// Tracking state is single-consumer (the debugger runtime polls
-	// from the simulation goroutine) and never touches mu-guarded
-	// replay state.
-	trSlot    []int32
-	trIdx     []int // tracked slot -> signal index, -1 unresolved
-	trPending []bool
-	trAlways  []int // tracked slots with unresolvable paths
-	trCur     vcd.Cursor
-	trLastT   uint64
-	trFresh   bool
-	trActive  bool
+	// Dirty-set tracking (vpi.ChangeReporter). tr.Slot maps signal
+	// index → tracked slot; every forward sweep of the state array sets
+	// tr.Pending for the tracked signals whose records it applies,
+	// whoever asked for the sweep (the poll, a raw read, a frame read
+	// after a reverse seek). Only changedInto clears the marks, and it
+	// syncs to the poll time first, so after a poll at T every record
+	// in (T, highest state time reached since T] is marked: restores
+	// only move backwards, and the sweep back up re-marks rather than
+	// skips.
+	tr       vcd.ChangeMarks
+	trIdx    []int // tracked slot -> signal index, -1 unresolved
+	trAlways []int // tracked slots with unresolvable paths
+	trLastT  uint64
+	trFresh  bool
+	trActive bool
 }
 
 func newStoreBacking(st *vcd.Store, opts ...StoreEngineOption) *storeBacking {
@@ -129,7 +125,7 @@ func newStoreBacking(st *vcd.Store, opts ...StoreEngineOption) *storeBacking {
 // 0 instead of the recorded initial values.
 func (sb *storeBacking) resetToZero() {
 	sb.state.Zero()
-	sb.cur = sb.st.ApplyUpTo(vcd.Cursor{}, 0, sb.state)
+	sb.cur = sb.st.ApplyUpTo(vcd.Cursor{}, 0, sb.state, nil)
 	sb.stateTime = 0
 }
 
@@ -139,27 +135,27 @@ func (sb *storeBacking) checkpoints() int {
 	return len(sb.cps)
 }
 
-func (sb *storeBacking) prefetch(paths []string) { sb.st.Materialize(paths...) }
-
 // trackChanges registers the dirty-set watch list; changedInto then
 // reports, for each tracked path, whether it may have changed since
 // the previous poll (the vpi.ChangeReporter capability at time t).
 func (sb *storeBacking) trackChanges(paths []string) {
-	if sb.trSlot == nil && len(paths) > 0 {
-		sb.trSlot = make([]int32, sb.st.NumSignals())
-		for i := range sb.trSlot {
-			sb.trSlot[i] = -1
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if sb.tr.Slot == nil && len(paths) > 0 {
+		sb.tr.Slot = make([]int32, sb.st.NumSignals())
+		for i := range sb.tr.Slot {
+			sb.tr.Slot[i] = -1
 		}
 	}
 	// Clear the previous registration via its index list, not a sweep
 	// of every signal in the trace.
 	for _, idx := range sb.trIdx {
 		if idx >= 0 {
-			sb.trSlot[idx] = -1
+			sb.tr.Slot[idx] = -1
 		}
 	}
 	sb.trIdx = sb.trIdx[:0]
-	sb.trPending = make([]bool, len(paths))
+	sb.tr.Pending = make([]bool, len(paths))
 	sb.trAlways = sb.trAlways[:0]
 	for slot, p := range paths {
 		ts, ok := sb.st.Signal(p)
@@ -169,46 +165,45 @@ func (sb *storeBacking) trackChanges(paths []string) {
 			continue
 		}
 		sb.trIdx = append(sb.trIdx, ts.Index())
-		sb.trSlot[ts.Index()] = int32(slot)
+		sb.tr.Slot[ts.Index()] = int32(slot)
 	}
 	sb.trActive = len(paths) > 0
 	sb.trFresh = true
 }
 
+// marks is the change-mark sink forward sweeps write, nil while
+// nothing is tracked.
+func (sb *storeBacking) marks() *vcd.ChangeMarks {
+	if !sb.trActive {
+		return nil
+	}
+	return &sb.tr
+}
+
+// changedInto syncs the state to t — the edge's one record walk, which
+// marks the tracked signals it applies — then reports and clears the
+// marks gathered since the previous poll.
 func (sb *storeBacking) changedInto(t uint64, dst []bool) bool {
-	if !sb.trActive || len(dst) < len(sb.trPending) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if !sb.trActive || len(dst) < len(sb.tr.Pending) {
 		return false
 	}
-	if sb.trFresh || t < sb.trLastT {
-		// First poll after a registration, or time moved backwards:
-		// nothing bounds the change set. Re-anchor the cursor at t so
-		// the next forward poll scans exactly (t, t'].
-		discontinuous := !sb.trFresh
-		sb.trFresh = false
-		sb.trCur = sb.st.SeekCursor(t)
-		sb.trLastT = t
-		for i := range sb.trPending {
-			sb.trPending[i] = false
-			dst[i] = true
-		}
-		return !discontinuous
-	}
-	// Forward: every change record in (trLastT, t] names a signal whose
-	// value moved; mark the tracked ones.
-	sb.trCur = sb.st.ScanChanges(sb.trCur, t, func(sig int) {
-		if slot := sb.trSlot[sig]; slot >= 0 {
-			sb.trPending[slot] = true
-		}
-	})
+	sb.sync(t)
+	// The first poll after a registration reports every path; a poll
+	// behind the previous one cannot bound the change set at all.
+	backward := !sb.trFresh && t < sb.trLastT
+	all := sb.trFresh || backward
+	sb.trFresh = false
 	sb.trLastT = t
-	for i, p := range sb.trPending {
-		dst[i] = p
-		sb.trPending[i] = false
+	for i, p := range sb.tr.Pending {
+		dst[i] = p || all
+		sb.tr.Pending[i] = false
 	}
 	for _, slot := range sb.trAlways {
 		dst[slot] = true
 	}
-	return true
+	return !backward
 }
 
 // bits returns the signal's recorded four-state value at time t —
@@ -216,28 +211,38 @@ func (sb *storeBacking) changedInto(t uint64, dst []bool) bool {
 // four-state; the Engine lowers it onto the two-state vpi surface
 // where possible.
 func (sb *storeBacking) bits(path string, t uint64) (val.Bits, error) {
-	ts, ok := sb.st.Signal(path)
-	if !ok {
-		return val.Bits{}, fmt.Errorf("replay: unknown signal %q", path)
-	}
-	if ts.Materialized() {
-		// Lazy fast path: the decoded timeline answers any time without
-		// touching the shared state array — lock-free.
-		return ts.BitsAt(t), nil
+	ts, err := sb.signal(path)
+	if err != nil {
+		return val.Bits{}, err
 	}
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	sb.sync(t)
-	if err := sb.st.Err(); err != nil {
-		// A corrupt or unreadable block stopped the walk mid-stream; the
-		// state array is only synced up to the damage, so surface the
-		// store failure rather than a silently stale value.
+	if err := sb.syncChecked(t); err != nil {
 		return val.Bits{}, err
 	}
 	return sb.st.StateBits(sb.state, ts), nil
 }
 
-// sync moves the replay state to time t.
+// signal resolves a trace signal by path.
+func (sb *storeBacking) signal(path string) (*vcd.StoreSignal, error) {
+	ts, ok := sb.st.Signal(path)
+	if !ok {
+		return nil, fmt.Errorf("replay: unknown signal %q", path)
+	}
+	return ts, nil
+}
+
+// syncChecked syncs the state to t for a read. Callers hold mu.
+func (sb *storeBacking) syncChecked(t uint64) error {
+	sb.sync(t)
+	// A corrupt or unreadable block stops the walk mid-stream; the
+	// state array is then only synced up to the damage, so surface the
+	// store failure rather than a silently stale value.
+	return sb.st.Err()
+}
+
+// sync moves the replay state to time t, marking tracked signals on
+// the way forward. Callers hold mu.
 func (sb *storeBacking) sync(t uint64) {
 	if t == sb.stateTime {
 		return
@@ -251,24 +256,26 @@ func (sb *storeBacking) sync(t uint64) {
 	// no per-boundary work: state cannot change there, and the snapshot
 	// before a gap already serves any backward seek into it. Sweep cost
 	// is therefore O(records applied + snapshots taken), never
-	// O(t / interval).
+	// O(t / interval). A sync that stays inside its interval — every
+	// forward edge but one per interval — goes straight to the final
+	// apply.
 	for sb.stateTime < t {
+		next := (sb.stateTime/sb.interval + 1) * sb.interval
+		if next > t {
+			break
+		}
 		nt, ok := sb.st.NextChangeTime(sb.cur)
 		if !ok || nt > t {
 			// No records in (stateTime, t]: values at t are identical.
 			sb.stateTime = t
 			return
 		}
-		next := (sb.stateTime/sb.interval + 1) * sb.interval
 		if nt > next {
 			// Jump the gap: land on the last boundary at or before the
 			// next record so the upcoming interval gets its snapshot.
 			next = (nt / sb.interval) * sb.interval
 		}
-		if next > t {
-			break
-		}
-		sb.cur = sb.st.ApplyUpTo(sb.cur, next, sb.state)
+		sb.cur = sb.st.ApplyUpTo(sb.cur, next, sb.state, sb.marks())
 		sb.stateTime = next
 		if _, ok := sb.cps[next]; !ok {
 			sn := &snapshot{state: sb.state.Clone(), cur: sb.cur}
@@ -285,7 +292,7 @@ func (sb *storeBacking) sync(t uint64) {
 		}
 	}
 	if t > sb.stateTime {
-		sb.cur = sb.st.ApplyUpTo(sb.cur, t, sb.state)
+		sb.cur = sb.st.ApplyUpTo(sb.cur, t, sb.state, sb.marks())
 		sb.stateTime = t
 	}
 }

@@ -27,7 +27,7 @@ func storeEngine(t testing.TB, data []byte, interval uint64) *Engine {
 // contract: across random time jumps (forward and backward), the
 // checkpointed store engine must return the values the simulator
 // reported for every signal — with none, some, and all signals
-// materialized.
+// tracked for change reporting, so sweeps run with and without marks.
 func TestStoreEngineDifferential(t *testing.T) {
 	data, truth := makeRecording(t)
 	eng := storeEngine(t, data, 3)
@@ -35,8 +35,8 @@ func TestStoreEngineDifferential(t *testing.T) {
 }
 
 // randomJumps seeks eng to 200 random times and compares every
-// signal against the truth table, materializing half the signals at
-// jump 66 and all of them at jump 133.
+// signal against the truth table, tracking half the signals from jump
+// 66 and all of them from jump 133.
 func randomJumps(t *testing.T, eng *Engine, truth *truthTable, seed int64) {
 	t.Helper()
 	names := truth.names()
@@ -61,11 +61,11 @@ func randomJumps(t *testing.T, eng *Engine, truth *truthTable, seed int64) {
 		}
 		switch jump {
 		case 66:
-			// Materialize part of the signal set mid-run; answers from
-			// the lazy binary-search path must agree with state sync.
-			eng.Prefetch(names[:len(names)/2])
+			// Register part of the signal set mid-run; sweeps that also
+			// mark changes must leave the values alone.
+			eng.TrackChanges(names[:len(names)/2])
 		case 133:
-			eng.Prefetch(names)
+			eng.TrackChanges(names)
 		}
 	}
 	if eng.Checkpoints() == 0 {
@@ -96,7 +96,7 @@ func diskStoreEngine(t testing.TB, data []byte, interval uint64) *Engine {
 
 // TestDiskStoreEngineDifferential runs the full replay contract over a
 // disk-opened store: random forward/backward jumps, partial and full
-// materialization, and checkpointed reverse seeks must all return the
+// change tracking, and checkpointed reverse seeks must all return the
 // values the simulator reported — proving the replay and checkpoint
 // machinery runs unchanged over the on-disk format.
 func TestDiskStoreEngineDifferential(t *testing.T) {
@@ -136,12 +136,11 @@ func TestStoreEngineStepsMatchSeed(t *testing.T) {
 }
 
 // TestStoreEngineBatchZeroAlloc pins the BatchReaderInto contract on
-// the store backend: once the dependency union is prefetched
-// (materialized), the per-cycle batched read allocates nothing.
+// the store backend: the per-cycle batched read is a lookup in the
+// synced state array and allocates nothing.
 func TestStoreEngineBatchZeroAlloc(t *testing.T) {
 	eng := storeEngine(t, makeVCD(t), 4)
 	paths := []string{"Counter.count", "Counter.out", "Counter.en"}
-	eng.Prefetch(paths)
 	dst := make([]eval.Value, len(paths))
 	eng.SetTime(5)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -296,11 +295,12 @@ b11 !
 }
 
 // TestStoreEngineConcurrentReads models the hgdb-replay deployment
-// shape: the simulation goroutine sweeps replay state forward and
-// backward while server connection goroutines issue raw get_value
-// reads and a breakpoint arm materializes the dependency union
-// mid-flight. Values must match the simulation's truth table
-// throughout; run with -race to catch reader/sync races.
+// shape: server connection goroutines issue raw get_value reads at
+// scattered times while the simulation goroutine re-registers its
+// dependency union and polls for changes — and every poll syncs the
+// same shared state the readers sync. Values must match the
+// simulation's truth table throughout; run with -race to catch
+// reader/poll races.
 func TestStoreEngineConcurrentReads(t *testing.T) {
 	data, truth := makeRecording(t)
 	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{BlockSize: 2})
@@ -327,25 +327,32 @@ func TestStoreEngineConcurrentReads(t *testing.T) {
 					t.Errorf("%s@%d = %d, want %d", name, tm, got.V0, want)
 					return
 				}
-				if i == 150 && g == 0 {
-					sb.prefetch(names[:len(names)/2])
-				}
 			}
 		}(g)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		dst := make([]bool, len(names))
+		for i := 0; i < 300; i++ {
+			if i%50 == 0 {
+				sb.trackChanges(names[:1+i/50%len(names)])
+			}
+			sb.changedInto(uint64(i)%(max+1), dst)
+		}
+	}()
 	wg.Wait()
 }
 
 // TestStoreEngineReverseUsesCheckpoints checks the mechanism (not just
 // the answers): after a forward sweep, a backward seek restores from a
 // snapshot rather than replaying from zero — observable as checkpoint
-// population plus correct unmaterialized reads straight after the
-// restore.
+// population plus correct state reads straight after the restore.
 func TestStoreEngineReverseUsesCheckpoints(t *testing.T) {
 	data, truth := makeRecording(t)
 	eng := storeEngine(t, data, 2)
-	// Forward sweep with an unmaterialized read each cycle populates
-	// every boundary snapshot.
+	// Forward sweep with a read each cycle populates every boundary
+	// snapshot.
 	for eng.StepForward() {
 		if _, err := eng.GetValue("Counter.count"); err != nil {
 			t.Fatal(err)

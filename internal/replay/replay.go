@@ -5,11 +5,12 @@
 // debugging — stepping to previous clock cycles and re-running the
 // breakpoint schedule in reverse order (§3.2).
 //
-// The trace is a vcd.Store block index: signal timelines decode lazily
-// (Prefetch materializes the debugger's dependency union), and
-// backward SetTime restores the nearest periodic value-snapshot
-// checkpoint then replays forward deltas, making a reverse step
-// O(checkpoint interval) instead of O(t) on undecoded state.
+// The trace is a vcd.Store block index. Every read comes from one
+// signal-state array synced to the replay time; the per-edge change
+// poll is the forward sync that advances it, and backward SetTime
+// restores the nearest periodic value-snapshot checkpoint then replays
+// forward deltas, making a reverse step O(checkpoint interval) instead
+// of O(t) on undecoded state.
 package replay
 
 import (
@@ -39,7 +40,6 @@ var (
 	_ vpi.Interface       = (*Engine)(nil)
 	_ vpi.BatchReader     = (*Engine)(nil)
 	_ vpi.BatchReaderInto = (*Engine)(nil)
-	_ vpi.Prefetcher      = (*Engine)(nil)
 	_ vpi.ChangeReporter  = (*Engine)(nil)
 	_ vpi.BitsReader      = (*Engine)(nil)
 )
@@ -58,21 +58,16 @@ func (e *Engine) MaxTime() uint64 { return e.src.st.MaxTime }
 func (e *Engine) Checkpoints() int { return e.src.checkpoints() }
 
 // TrackChanges implements vpi.ChangeReporter: registers the dirty-set
-// watch list with the trace backend, which derives the per-edge change
-// set from the store's change-record streams via a resumable cursor.
+// watch list with the trace backend, whose forward state sweeps mark
+// the tracked signals among the records they apply.
 func (e *Engine) TrackChanges(paths []string) { e.src.trackChanges(paths) }
 
-// ChangedInto implements vpi.ChangeReporter at the current replay time.
+// ChangedInto implements vpi.ChangeReporter at the current replay time:
+// it syncs the replay state to that time, so the reads that follow are
+// state lookups.
 func (e *Engine) ChangedInto(dst []bool) bool {
 	return e.src.changedInto(e.time.Load(), dst)
 }
-
-// Prefetch implements vpi.Prefetcher: the debugger runtime advises the
-// set of signal paths it will read every cycle (its breakpoint/watch
-// dependency union), and the store backend materializes exactly those
-// timelines so per-cycle reads never touch undecoded blocks or move the
-// full replay state.
-func (e *Engine) Prefetch(paths []string) { e.src.prefetch(paths) }
 
 // GetValue implements vpi.Interface: the signal's recorded value at the
 // current replay time, lowered onto the two-state fast path. A value
@@ -107,17 +102,24 @@ func (e *Engine) GetValues(paths []string) ([]eval.Value, error) {
 	return out, nil
 }
 
-// GetValuesInto implements vpi.BatchReaderInto without allocating.
+// GetValuesInto implements vpi.BatchReaderInto without allocating:
+// one lock and one state sync for the whole batch.
 func (e *Engine) GetValuesInto(paths []string, dst []eval.Value) error {
 	if len(dst) < len(paths) {
 		return fmt.Errorf("replay: batch destination too short: %d < %d", len(dst), len(paths))
 	}
-	t := e.time.Load()
+	sb := e.src
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if err := sb.syncChecked(e.time.Load()); err != nil {
+		return err
+	}
 	for i, p := range paths {
-		b, err := e.src.bits(p, t)
+		ts, err := sb.signal(p)
 		if err != nil {
 			return err
 		}
+		b := sb.st.StateBits(sb.state, ts)
 		v, ok := eval.FromBits(b)
 		if !ok {
 			return fmt.Errorf("%w: %s = %s", vpi.ErrFourState, p, b.String())

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/vpi"
@@ -136,6 +137,69 @@ func TestChangeReporterMatchesValueDiff(t *testing.T) {
 							e.Time(), n, prev[i], cur)
 					}
 					prev[i] = cur
+				}
+			}
+		})
+	}
+}
+
+// TestChangeReporterInterleavedReaders is the reporter differential
+// with other readers moving the shared replay state between polls, as
+// the debug server's raw get_value reads and a stopped frame's reads
+// after a reverse seek do. Each forward poll follows a random mix of
+// reads at the current time and reverse SetTime + read + return; no
+// tracked signal whose truth-table value changed since the previous
+// poll may be reported clean.
+func TestChangeReporterInterleavedReaders(t *testing.T) {
+	_, truth := makeRecording(t)
+	names := truth.names()
+	for engName, e := range reporterEngines(t) {
+		t.Run(engName, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			read := func(tm uint64) {
+				name := names[rng.Intn(len(names))]
+				got, err := e.GetValue(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := truth.valueAt(name, tm); got.Bits != want {
+					t.Fatalf("%s@%d = %d, want %d", name, tm, got.Bits, want)
+				}
+			}
+			dst := make([]bool, len(names))
+			for round := 0; round < 50; round++ {
+				e.SetTime(0)
+				e.TrackChanges(names)
+				e.ChangedInto(dst) // consume registration report
+				for e.Time() < e.MaxTime() {
+					from := e.Time()
+					to := min(from+1+uint64(rng.Intn(3)), e.MaxTime())
+					e.SetTime(to)
+					for k := rng.Intn(4); k > 0; k-- {
+						if rng.Intn(2) == 0 {
+							read(to)
+							continue
+						}
+						// Half the seeks land inside the poll window, where
+						// a restore must not cost marks the window needs.
+						lo := uint64(0)
+						if rng.Intn(2) == 0 {
+							lo = from
+						}
+						back := lo + uint64(rng.Int63n(int64(to-lo+1)))
+						e.SetTime(back)
+						read(back)
+						e.SetTime(to)
+					}
+					if ok := e.ChangedInto(dst); !ok {
+						t.Fatalf("round %d: forward poll %d->%d not ok", round, from, to)
+					}
+					for i, n := range names {
+						if prev, cur := truth.valueAt(n, from), truth.valueAt(n, to); prev != cur && !dst[i] {
+							t.Fatalf("round %d: %s changed %d->%d over (%d, %d] but reported clean",
+								round, n, prev, cur, from, to)
+						}
+					}
 				}
 			}
 		})

@@ -112,13 +112,14 @@ func diffStores(t *testing.T, mem, disk *Store, label string) {
 	// State sweeps share cursors across the two stores.
 	memState := mem.NewState()
 	diskState := disk.NewState()
+	memScratch, diskScratch := mem.NewState(), disk.NewState()
 	var mc, dc Cursor
 	for _, tm := range times {
 		if tm < mc.Time {
 			continue
 		}
-		mc = mem.ApplyUpTo(mc, tm, memState)
-		dc = disk.ApplyUpTo(dc, tm, diskState)
+		mc = mem.ApplyUpTo(mc, tm, memState, nil)
+		dc = disk.ApplyUpTo(dc, tm, diskState, nil)
 		if mc != dc {
 			t.Fatalf("%s: cursor @%d disk %+v, mem %+v", label, tm, dc, mc)
 		}
@@ -128,8 +129,10 @@ func diffStores(t *testing.T, mem, disk *Store, label string) {
 					diskState.V[i], diskState.X[i], memState.V[i], memState.X[i])
 			}
 		}
-		if sm, sd := mem.SeekCursor(tm), disk.SeekCursor(tm); sm != sd {
-			t.Fatalf("%s: SeekCursor(%d) disk %+v, mem %+v", label, tm, sd, sm)
+		// Sweeps entering at a block start land alike on both stores.
+		if sm, sd := mem.ApplyUpTo(lastBlockCursor(mem, tm), tm, memScratch, nil),
+			disk.ApplyUpTo(lastBlockCursor(disk, tm), tm, diskScratch, nil); sm != sd {
+			t.Fatalf("%s: block-start sweep to %d disk %+v, mem %+v", label, tm, sd, sm)
 		}
 	}
 	// Materialized answers must also match.
@@ -428,7 +431,7 @@ func TestCorruptBlockPoisons(t *testing.T) {
 		return
 	}
 	state := disk.NewState()
-	disk.ApplyUpTo(Cursor{}, disk.MaxTime, state) // must terminate
+	disk.ApplyUpTo(Cursor{}, disk.MaxTime, state, nil) // must terminate
 	for _, name := range disk.SignalNames() {
 		ds, _ := disk.Signal(name)
 		for tm := uint64(0); tm <= disk.MaxTime; tm += 5 {
@@ -541,7 +544,7 @@ func TestOpenStoreHostile(t *testing.T) {
 			// data; the damage must then surface as a sticky error on
 			// first touch, not as fabricated values.
 			state := st.NewState()
-			st.ApplyUpTo(Cursor{}, st.MaxTime, state)
+			st.ApplyUpTo(Cursor{}, st.MaxTime, state, nil)
 			if st.Err() == nil {
 				t.Fatalf("%s: opened and served without error", tc.name)
 			}
@@ -620,8 +623,8 @@ func FuzzOpenStore(f *testing.F) {
 			if tm < cur.Time {
 				continue
 			}
-			cur = st.ApplyUpTo(cur, tm, state)
-			st.SeekCursor(tm)
+			cur = st.ApplyUpTo(cur, tm, state, nil)
+			st.ApplyUpTo(lastBlockCursor(st, tm), tm, st.NewState(), nil)
 			st.NextChangeTime(cur)
 		}
 		st.Materialize(names...)

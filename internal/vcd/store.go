@@ -14,12 +14,12 @@ import (
 
 // This file is the trace index: a streaming, single-pass parse that
 // emits change records into fixed-size time blocks instead of
-// per-signal in-memory slices. Signals are decoded lazily — only the
-// debugger's breakpoint/watch dependency set is materialized into
-// binary-searchable timelines (Materialize); everything else stays as
-// compact varint records until a query or a replay state sweep touches
-// it. See DESIGN.md "Trace index & checkpointing" for the format and the
-// complexity analysis.
+// per-signal in-memory slices. Records stay compact varints until a
+// value query (StoreSignal.ValueAt: one block decode) or a replay state
+// sweep (ApplyUpTo) touches them; Materialize can decode chosen
+// signals into binary-searchable timelines, which only tests and the
+// benchmark harness use. See DESIGN.md "Trace index & checkpointing"
+// for the format and the complexity analysis.
 
 // DefaultBlockSize is the time-window width of one store block. 64
 // cycles keeps single-block decodes (the unit of work for a lazy
@@ -180,9 +180,10 @@ type Store struct {
 	blocks    []storeBlock
 	changes   int
 
-	// Packed replay-state layout: signal i's planes live at word
-	// offset wordOff[i], sigWords(width) words each, stateWords total.
-	// Computed once the signal list is final (finalizeLayout).
+	// Packed replay-state layout: signal i's planes live at words
+	// [wordOff[i], wordOff[i+1]), sigWords(width) words each;
+	// wordOff[len(list)] is stateWords, the total. Computed once the
+	// signal list is final (finalizeLayout).
 	wordOff    []int32
 	stateWords int
 
@@ -238,12 +239,13 @@ func (s *Store) Close() error {
 // finalizeLayout computes the packed replay-state layout; called once
 // the signal list is final (end of parse, or open).
 func (s *Store) finalizeLayout() {
-	s.wordOff = make([]int32, len(s.list))
+	s.wordOff = make([]int32, len(s.list)+1)
 	off := 0
 	for i, ts := range s.list {
 		s.wordOff[i] = int32(off)
 		off += ts.nw()
 	}
+	s.wordOff[len(s.list)] = int32(off)
 	s.stateWords = off
 }
 
@@ -287,8 +289,8 @@ func (st *State) Clone() *State {
 // The result is an independent copy — later ApplyUpTo sweeps over the
 // same state cannot mutate it.
 func (s *Store) StateBits(st *State, ts *StoreSignal) val.Bits {
-	off, nw := int(s.wordOff[ts.index]), ts.nw()
-	return val.FromPlanes(st.V[off:off+nw], st.X[off:off+nw], maxInt(ts.Width, 1))
+	off, end := s.wordOff[ts.index], s.wordOff[ts.index+1]
+	return val.FromPlanes(st.V[off:end], st.X[off:end], maxInt(ts.Width, 1))
 }
 
 // storeIngest is the shared single-pass ingest core behind ParseStore
@@ -634,9 +636,9 @@ func (s *Store) scanBlockFor(b, idx int, t uint64) (record, bool) {
 }
 
 // Materialize decodes the full timelines of the named signals so their
-// ValueAt queries become binary searches with no block decoding — this
-// is the lazy-materialization hook the debugger uses for its
-// breakpoint/watch dependency union. Signals already materialized (or
+// ValueAt queries become binary searches with no block decoding. The
+// replay engine does not call it (it reads its synced state array);
+// tests and the benchmark harness do. Signals already materialized (or
 // unknown) are skipped; decoding shares one pass per block across all
 // requested signals.
 func (s *Store) Materialize(paths ...string) {
@@ -798,16 +800,15 @@ type Cursor struct {
 	Time uint64
 }
 
-// recordWalk is the one cursor-advancing record walk: next yields
-// every change record with time <= t from a starting cursor on, and c
-// is the advanced cursor once next reports false. Both replay state
-// sync (ApplyUpTo) and dirty-set derivation (ScanChanges) run on it, so
-// the cursor conventions — where a partially consumed block leaves
-// Off/Time, when a block is abandoned for the next slot — cannot
-// desynchronize between them. It is an iterator rather than a
-// callback so the record it decodes into stays on the caller's stack:
-// a pointer handed to a callback would move it to the heap once per
-// walk, and a record passed by value is an 88-byte copy per change.
+// recordWalk is the cursor-advancing record walk behind ApplyUpTo:
+// next yields every change record with time <= t from a starting
+// cursor on, and c is the advanced cursor once next reports false. It
+// fixes the cursor conventions — where a partially consumed block
+// leaves Off/Time, when a block is abandoned for the next slot. It is
+// an iterator rather than a callback so the record it decodes into
+// stays on the caller's stack: a pointer handed to a callback would
+// move it to the heap once per walk, and a record passed by value is
+// an 88-byte copy per change.
 type recordWalk struct {
 	s    *Store
 	c    Cursor
@@ -858,13 +859,25 @@ func (w *recordWalk) next(rec *record) bool {
 	return false
 }
 
+// ChangeMarks flags tracked signals as a sweep applies their records:
+// Slot maps a signal index (StoreSignal.Index) to its tracked slot, or
+// -1 when untracked, and must cover every signal; Pending is indexed
+// by slot.
+type ChangeMarks struct {
+	Slot    []int32
+	Pending []bool
+}
+
 // ApplyUpTo replays every change with time <= t, starting at cursor c,
 // into the packed state planes (build with NewState, read with
 // StateBits), and returns the advanced cursor. Replaying from the zero
 // cursor over a zero state reconstructs exact signal values at t;
 // resuming from a saved cursor/state pair costs only the records in
-// (cursor, t] — the primitive replay checkpointing is built on.
-func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
+// (cursor, t] — the primitive replay checkpointing is built on. A
+// non-nil marks also sets Pending for the slot of every applied record
+// whose signal is tracked, so one walk both advances the state and
+// derives the sweep's change set.
+func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State, marks *ChangeMarks) Cursor {
 	if len(state.V) < s.stateWords || len(state.X) < s.stateWords {
 		panic(fmt.Sprintf("vcd: ApplyUpTo state too short: %d/%d words < %d",
 			len(state.V), len(state.X), s.stateWords))
@@ -874,9 +887,14 @@ func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
 	for w.next(&rec) {
 		// rec.sig is validated against the signal list before a block is
 		// published (validateBlockStream / trusted parse), so the offset
-		// lookup is in range; word counts are clamped to the declared
-		// width so a record can never spill into a neighbor's span.
-		off, nw := int(s.wordOff[rec.sig]), s.list[rec.sig].nw()
+		// lookup is in range; word counts come from the declared width
+		// so a record can never spill into a neighbor's span.
+		if marks != nil {
+			if slot := marks.Slot[rec.sig]; slot >= 0 {
+				marks.Pending[slot] = true
+			}
+		}
+		off, nw := int(s.wordOff[rec.sig]), int(s.wordOff[rec.sig+1]-s.wordOff[rec.sig])
 		state.V[off] = rec.v0
 		state.X[off] = rec.x0
 		for i := 1; i < nw; i++ {
@@ -892,39 +910,6 @@ func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
 		}
 	}
 	return w.c
-}
-
-// ScanChanges invokes fn with the signal index of every change record
-// with time in (cursor, t] and returns the advanced cursor. It is
-// ApplyUpTo without the state writes: the replay backend uses it to
-// derive per-edge dirty-signal sets directly from the block record
-// streams — the cost of one forward edge is the records inside it,
-// near zero on idle stretches.
-func (s *Store) ScanChanges(c Cursor, t uint64, fn func(sig int)) Cursor {
-	w := recordWalk{s: s, c: c, t: t}
-	var rec record
-	for w.next(&rec) {
-		fn(rec.sig)
-	}
-	return w.c
-}
-
-// SeekCursor returns a cursor positioned just past every change record
-// with time <= t, without replaying state: a binary search over the
-// sparse block index plus at most one block decode. The replay
-// backend's dirty-set cursor re-anchors here after a backward time
-// seek.
-func (s *Store) SeekCursor(t uint64) Cursor {
-	// First block whose window starts after t; everything before it is
-	// at least partially covered.
-	i := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].win*s.blockSize > t })
-	if i == 0 {
-		return Cursor{}
-	}
-	// Consume records <= t inside the last covered block, reusing the
-	// exact cursor conventions of ScanChanges/ApplyUpTo.
-	c := Cursor{Block: i - 1}
-	return s.ScanChanges(c, t, func(int) {})
 }
 
 // NextChangeTime returns the time of the first change record at or

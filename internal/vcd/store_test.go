@@ -124,28 +124,55 @@ func TestStoreMatchesSimulation(t *testing.T) {
 
 // TestStoreApplyUpTo checks cursor-resumed state sweeps against the
 // simulation's truth table: replaying in arbitrary forward increments
-// must land on the exact signal values at every stop.
+// must land on the exact signal values at every stop, and the change
+// marks of each sweep must name exactly the tracked signals the
+// simulator reported changing inside it.
 func TestStoreApplyUpTo(t *testing.T) {
 	data, truth := simulateDesign(t, 200)
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Track every other signal, so marks must also skip untracked ones.
+	names := truth.names()
+	marks := &ChangeMarks{Slot: make([]int32, st.NumSignals()), Pending: make([]bool, len(names))}
+	for i := range marks.Slot {
+		marks.Slot[i] = -1
+	}
+	for slot, name := range names {
+		if slot%2 == 0 {
+			ss, _ := st.Signal(name)
+			marks.Slot[ss.Index()] = int32(slot)
+		}
+	}
+	changedIn := func(name string, from, to uint64) bool {
+		for _, c := range truth.changes[name] {
+			if c.t > from && c.t <= to {
+				return true
+			}
+		}
+		return false
+	}
 	state := st.NewState()
-	var cur Cursor
+	cur := st.ApplyUpTo(Cursor{}, 0, state, nil)
 	// Irregular hop sizes: within-block, block-exact, multi-block.
 	var at uint64
 	for _, hop := range []uint64{1, 2, 5, 8, 3, 16, 1, 40, 7, 64, 13} {
+		prev := at
 		at += hop
 		if at > st.MaxTime {
 			at = st.MaxTime
 		}
-		cur = st.ApplyUpTo(cur, at, state)
-		for _, name := range truth.names() {
+		cur = st.ApplyUpTo(cur, at, state, marks)
+		for slot, name := range names {
 			ss, _ := st.Signal(name)
 			if got, want := st.StateBits(state, ss).V0, truth.valueAt(name, at); got != want {
 				t.Fatalf("state[%s]@%d = %d, want %d", name, at, got, want)
 			}
+			if want := slot%2 == 0 && changedIn(name, prev, at); marks.Pending[slot] != want {
+				t.Fatalf("mark[%s] over (%d, %d] = %v, want %v", name, prev, at, marks.Pending[slot], want)
+			}
+			marks.Pending[slot] = false
 		}
 	}
 }
@@ -170,9 +197,10 @@ func TestStoreHierarchy(t *testing.T) {
 // walk (recordWalk) at exact block-window edges — the times where an
 // off-by-one between "partially covered" and "exhausted" block
 // handling would corrupt resumed sweeps. For every boundary-adjacent
-// time: SeekCursor must equal the cursor a from-zero ScanChanges walk
-// produces, resumed ApplyUpTo sweeps must match fresh ones, and
-// NextChangeTime must report the first record past the cursor.
+// time: a sweep resumed from the start of the last block the time
+// covers must land on the cursor a from-zero sweep produces, resumed
+// ApplyUpTo sweeps must match fresh ones, and NextChangeTime must
+// report the first record past the cursor.
 func TestCursorWindowBoundaries(t *testing.T) {
 	data, truth := simulateDesign(t, 120)
 	const bs = 16
@@ -201,6 +229,7 @@ func TestCursorWindowBoundaries(t *testing.T) {
 	}
 	state := st.NewState()
 	fresh := st.NewState()
+	scratch := st.NewState()
 	var cur Cursor
 	var prev uint64
 	for _, tm := range times {
@@ -209,9 +238,9 @@ func TestCursorWindowBoundaries(t *testing.T) {
 		}
 		prev = tm
 		// Resumed sweep vs fresh sweep vs simulation truth.
-		cur = st.ApplyUpTo(cur, tm, state)
+		cur = st.ApplyUpTo(cur, tm, state, nil)
 		fresh.Zero()
-		freshCur := st.ApplyUpTo(Cursor{}, tm, fresh)
+		freshCur := st.ApplyUpTo(Cursor{}, tm, fresh, nil)
 		for _, name := range truth.names() {
 			ss, _ := st.Signal(name)
 			want := truth.valueAt(name, tm)
@@ -220,9 +249,10 @@ func TestCursorWindowBoundaries(t *testing.T) {
 					tm, name, st.StateBits(state, ss).V0, st.StateBits(fresh, ss).V0, want)
 			}
 		}
-		// SeekCursor must land exactly where the walks landed.
-		if sk := st.SeekCursor(tm); sk != freshCur {
-			t.Fatalf("SeekCursor(%d) = %+v, walk cursor %+v", tm, sk, freshCur)
+		// A sweep entering at a block start must land exactly where the
+		// whole-trace walks landed.
+		if bc := st.ApplyUpTo(lastBlockCursor(st, tm), tm, scratch, nil); bc != freshCur {
+			t.Fatalf("block-start sweep to %d = %+v, walk cursor %+v", tm, bc, freshCur)
 		}
 		if cur != freshCur {
 			t.Fatalf("resumed cursor @%d = %+v, fresh %+v", tm, cur, freshCur)
@@ -234,6 +264,16 @@ func TestCursorWindowBoundaries(t *testing.T) {
 			t.Fatalf("NextChangeTime after %d = %d,%v, want %d,%v", tm, nt, ok, wantNT, wantOK)
 		}
 	}
+}
+
+// lastBlockCursor is the cursor at the start of the last block whose
+// window starts at or before t (the zero cursor when none does).
+func lastBlockCursor(st *Store, t uint64) Cursor {
+	i := sort.Search(len(st.blocks), func(i int) bool { return st.blocks[i].win*st.blockSize > t })
+	if i == 0 {
+		return Cursor{}
+	}
+	return Cursor{Block: i - 1}
 }
 
 // TestZeroChangeSignal pins behavior for declared-but-never-changed
@@ -267,7 +307,7 @@ $enddefinitions $end
 		}
 	}
 	state := st.NewState()
-	st.ApplyUpTo(Cursor{}, st.MaxTime, state)
+	st.ApplyUpTo(Cursor{}, st.MaxTime, state, nil)
 	if b := st.StateBits(state, ts); b.V0 != 0 || b.HasX() {
 		t.Fatalf("sweep wrote %s into zero-change slot", b.String())
 	}
@@ -395,7 +435,7 @@ b11 "
 	state := st.NewState()
 	var cur Cursor
 	for _, tm := range times {
-		cur = st.ApplyUpTo(cur, tm, state)
+		cur = st.ApplyUpTo(cur, tm, state, nil)
 		for _, name := range []string{"Top.a", "Top.v"} {
 			ss, _ := st.Signal(name)
 			if got, want := st.StateBits(state, ss).V0, truth.valueAt(name, tm); got != want {

@@ -77,13 +77,13 @@ type BatchReaderInto interface {
 	GetValuesInto(paths []string, dst []eval.Value) error
 }
 
-// Prefetcher is an optional backend capability: the debugger advises
-// the backend which signal paths it will read every cycle (the union of
-// every armed breakpoint/watch condition's dependencies) so the backend
-// can prepare. A live simulator ignores the hint; the replay block
-// store materializes exactly those signals' timelines, keeping
-// per-cycle condition evaluation off the undecoded trace index. The
-// hint is advisory — reads outside the advised set must still work.
+// Prefetcher is an optional backend capability: a caller advises the
+// backend which signal paths it will read every cycle so the backend
+// can prepare. No backend implements it and the debugger runtime does
+// not call it — the replay engine's change poll syncs the state its
+// reads come from. It stays only because the benchmark harness's
+// timing wrapper (perfbench/trace.go) names it. The hint is advisory —
+// reads outside the advised set must still work.
 type Prefetcher interface {
 	// Prefetch advises the per-cycle read set. The slice is owned by
 	// the caller; implementations must not retain it.
