@@ -23,7 +23,10 @@
 //	c                             continue
 //	s                             step (next enabled statement)
 //	rs                            reverse step
-//	p <expr> [@<instance>]        evaluate expression
+//	p <expr> [@<instance>]        evaluate expression; at a stop, names
+//	                              mean what the chosen thread's frame
+//	                              shows (@instance's thread, else the
+//	                              first)
 //	get <path> / set <path> <v>   raw signal access
 //	pause                         break at next statement
 //	detach                        detach runtime, design runs free
@@ -46,6 +49,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -91,6 +95,7 @@ func main() {
 				fmt.Println("\nconnection closed")
 				os.Exit(0)
 			}
+			trackStop(ev)
 			printEvent(ev)
 			fmt.Print("(hgdb) ")
 		}
@@ -496,6 +501,35 @@ func doWatch(cl *client.Client, args []string) {
 	fmt.Printf("watchpoint %d set\n", id)
 }
 
+// stopThreads holds the threads of the stop the simulation is parked
+// at, nil while it runs. The event goroutine writes it, the command
+// loop reads it.
+var stopThreads atomic.Pointer[[]core.Thread]
+
+// trackStop follows the stop/resume events.
+func trackStop(ev *proto.Event) {
+	switch ev.Type {
+	case "stop":
+		stopThreads.Store(&ev.Stop.Threads)
+	case "resume":
+		stopThreads.Store(nil)
+	}
+}
+
+// stopScope picks the breakpoint that scopes `p` at a stop: the thread
+// of the named instance, or else the first thread. It returns 0 (no
+// scope) mid-run.
+func stopScope(instance string) int64 {
+	if threads := stopThreads.Load(); threads != nil {
+		for _, th := range *threads {
+			if instance == "" || th.Instance == instance {
+				return th.BreakpointID
+			}
+		}
+	}
+	return 0
+}
+
 func doPrint(cl *client.Client, args []string) {
 	if len(args) == 0 {
 		fmt.Println("usage: p <expr> [@<instance>]")
@@ -507,7 +541,7 @@ func doPrint(cl *client.Client, args []string) {
 		instance = last[1:]
 		exprParts = args[:len(args)-1]
 	}
-	v, err := cl.Evaluate(instance, strings.Join(exprParts, " "))
+	v, err := cl.EvaluateAt(stopScope(instance), instance, strings.Join(exprParts, " "))
 	if err != nil {
 		fmt.Println(err)
 		return

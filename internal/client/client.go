@@ -623,12 +623,20 @@ func (c *Client) Command(cmd string) error {
 	return err
 }
 
-// Evaluate computes a watch expression in an instance context.
-// Observers may evaluate while the simulation is running; the value
-// is captured at a clock edge.
+// Evaluate computes an expression in an instance context with no
+// breakpoint scope. Observers may evaluate while the simulation is
+// running; the value is captured at a clock edge.
 func (c *Client) Evaluate(instance, expression string) (proto.ValueInfo, error) {
+	return c.EvaluateAt(0, instance, expression)
+}
+
+// EvaluateAt computes an expression with its names scoped to a stopped
+// breakpoint (a stop thread's BreakpointID), so a source name reads
+// what that thread's frame shows; bpID 0 is Evaluate. An empty
+// instance takes the breakpoint's own.
+func (c *Client) EvaluateAt(bpID int64, instance, expression string) (proto.ValueInfo, error) {
 	resp, err := c.roundTrip(&proto.Request{
-		Type: "evaluate", Instance: instance, Expression: expression,
+		Type: "evaluate", Instance: instance, Expression: expression, BreakpointID: bpID,
 	})
 	if err != nil {
 		return proto.ValueInfo{}, err

@@ -420,14 +420,14 @@ func TestEvaluateWatchExpression(t *testing.T) {
 	d.sim.Poke("Counter.en", 1)
 	d.sim.Run(7)
 	d.sim.Settle()
-	v, err := rt.EvaluateBits("Counter", "count + 1")
+	v, err := rt.EvaluateBits(0, "Counter", "count + 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.V0 != 8 {
 		t.Fatalf("watch = %d, want 8", v.V0)
 	}
-	if _, err := rt.EvaluateBits("Counter", "ghost + 1"); err == nil {
+	if _, err := rt.EvaluateBits(0, "Counter", "ghost + 1"); err == nil {
 		t.Fatal("unknown name evaluated")
 	}
 }

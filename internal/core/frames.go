@@ -12,19 +12,6 @@ import (
 	"repro/internal/vpi"
 )
 
-// pathBitsResolver resolves through the breakpoint's precomputed path
-// map for the general evaluator, which decides whenever a compiled
-// condition is missing or fails (x/z bits, a wide signal, an operand
-// that cannot be fetched).
-func (ibp *insertedBP) pathBitsResolver(rt *Runtime) expr.BitsResolver {
-	return expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		if full, ok := ibp.paths[name]; ok {
-			return vpi.ReadBits(rt.backend, full)
-		}
-		return vpi.ReadBits(rt.backend, rt.remap.ToSim(ibp.bp.InstanceName+"."+name))
-	})
-}
-
 // frameSlot is one frame variable's fixed shape: the source-level
 // name it is shown under and the full simulator path its value is
 // read from.
@@ -228,25 +215,23 @@ func (rt *Runtime) frameVar(name, full string) Variable {
 // EvaluateBits computes an expression in the context of an instance
 // with full four-state, arbitrary-width semantics — the path the
 // protocol's evaluate request uses, so x/z and >64-bit signals render
-// instead of erroring. Names resolve as generator variables of the
-// instance, then instance-local RTL names, then absolute paths.
-func (rt *Runtime) EvaluateBits(instance, src string) (val.Bits, error) {
+// instead of erroring. Names bind through resolveSourceName: at a stop,
+// bpID scopes them to the stopped breakpoint, so a source name reads
+// exactly what the frame shows; bpID 0 (a mid-run query) resolves
+// generator variables of the instance, then instance-local RTL names,
+// then absolute paths.
+func (rt *Runtime) EvaluateBits(bpID int64, instance, src string) (val.Bits, error) {
 	n, err := expr.Parse(src)
 	if err != nil {
 		return val.Bits{}, err
 	}
-	return expr.EvalBits(n, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		if full, ok := rt.generatorPath(instance, name); ok {
-			return vpi.ReadBits(rt.backend, full)
-		}
-		if b, err := vpi.ReadBits(rt.backend, rt.remap.ToSim(instance+"."+name)); err == nil {
-			return b, nil
-		}
-		if b, err := vpi.ReadBits(rt.backend, name); err == nil {
-			return b, nil
-		}
-		return val.Bits{}, fmt.Errorf("core: cannot resolve %q in %s", name, instance)
+	b, err := rt.evalBits(bind(n, nil, func(name string) (string, bool) {
+		return rt.resolveSourceName(bpID, instance, name, nil)
 	}))
+	if err != nil {
+		return val.Bits{}, fmt.Errorf("core: evaluate %q in %s: %w", src, instance, err)
+	}
+	return b, nil
 }
 
 // StructuredVars groups flat dotted variables into a tree for display —

@@ -321,3 +321,52 @@ func TestStopFrameAllocs(t *testing.T) {
 		t.Fatalf("%.1f allocs per stepped stop, want <= 16", perStop)
 	}
 }
+
+// TestEvaluateUnscopedRTLMatchesFrame pins evaluate without a
+// breakpoint scope, the mid-run query path: stepping through every
+// statement of the one-core SoC, evaluating each frame variable's
+// instance-local RTL name with breakpoint id 0 returns the frame value
+// (and fails where the frame shows Unknown).
+// This is the query perfbench's step-session checks at its stops.
+func TestEvaluateUnscopedRTLMatchesFrame(t *testing.T) {
+	for _, debug := range []bool{false, true} {
+		m := loadSoC(t, debug)
+		rt, err := New(vpi.NewSimBackend(m.Sim), m.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stops, checked := 0, 0
+		rt.SetHandler(func(ev *StopEvent) Command {
+			stops++
+			for _, th := range ev.Threads {
+				prefix := rt.remap.ToSim(th.Instance) + "."
+				for _, vars := range [][]Variable{th.Locals, th.Generator} {
+					for _, v := range vars {
+						name := strings.TrimPrefix(v.RTL, prefix)
+						b, err := rt.EvaluateBits(0, th.Instance, name)
+						checked++
+						if v.Unknown {
+							if err == nil {
+								t.Fatalf("debug=%v t=%d %s: frame shows %s Unknown, evaluate answered %s", debug, ev.Time, th.Instance, name, b)
+							}
+							continue
+						}
+						var got Variable
+						got.SetBits(b)
+						if err != nil || !got.EqualValue(&v) || got.Width != v.Width {
+							t.Fatalf("debug=%v t=%d bp %d %s: evaluate %s = %s (%v), frame %s",
+								debug, ev.Time, th.BreakpointID, th.Instance, name, b, err, v.Display())
+						}
+					}
+				}
+			}
+			return forwardMix(ev, stops)
+		})
+		rt.InterruptNext()
+		m.Sim.Run(3)
+		t.Logf("debug=%v: %d stops, %d variables", debug, stops, checked)
+		if stops < 100 {
+			t.Fatalf("walk too short: %d stops", stops)
+		}
+	}
+}

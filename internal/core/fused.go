@@ -74,23 +74,6 @@ func (fs *fusedState) masked(ci int32) bool {
 	return fs.mask[ci>>6]&(1<<(uint32(ci)&63)) != 0
 }
 
-// slotsFused reports whether a compiled program's dependencies are all
-// verified and slotted in the prefetch union — the fusability condition.
-func slotsFused(prog *expr.Program, slots []int) bool {
-	if prog == nil {
-		return true
-	}
-	if len(slots) != len(prog.Deps) {
-		return false
-	}
-	for _, s := range slots {
-		if s < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // rebuildFused recompiles the fused schedule from the current armed
 // set. Runs under rt.mu from rebuildDeps, after slot assignment.
 func (rt *Runtime) rebuildFused() {
@@ -105,16 +88,16 @@ func (rt *Runtime) rebuildFused() {
 			if !ok {
 				continue
 			}
-			if !armed.generalOnly() &&
-				slotsFused(armed.enableProg, armed.enableSlots) &&
-				slotsFused(armed.condProg, armed.condSlots) {
+			if armed.enable.fusable() && armed.cond.fusable() {
+				var fc expr.FusedCondition
+				if e := armed.enable; e != nil {
+					fc.Enable, fc.EnableSlots = e.prog, e.slots
+				}
+				if c := armed.cond; c != nil {
+					fc.Cond, fc.CondSlots = c.prog, c.slots
+				}
 				fs.groupConds[gi] = append(fs.groupConds[gi], int32(len(fconds)))
-				fconds = append(fconds, expr.FusedCondition{
-					Enable:      armed.enableProg,
-					Cond:        armed.condProg,
-					EnableSlots: armed.enableSlots,
-					CondSlots:   armed.condSlots,
-				})
+				fconds = append(fconds, fc)
 				fs.conds = append(fs.conds, armed)
 			} else {
 				fs.groupExtra[gi] = append(fs.groupExtra[gi], armed)
@@ -126,11 +109,11 @@ func (rt *Runtime) rebuildFused() {
 	// conditions; checkWatches consumes their values instead of truth.
 	for _, w := range rt.watches {
 		w.fusedID = -1
-		if w.prog == nil || !slotsFused(w.prog, w.slots) {
+		if !w.bound.fusable() {
 			continue
 		}
 		w.fusedID = len(fconds)
-		fconds = append(fconds, expr.FusedCondition{Cond: w.prog, CondSlots: w.slots})
+		fconds = append(fconds, expr.FusedCondition{Cond: w.bound.prog, CondSlots: w.bound.slots})
 	}
 	if len(fconds) == 0 {
 		rt.fused = nil

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/expr"
+	"repro/internal/val"
 	"repro/internal/vpi"
 )
 
@@ -19,15 +20,72 @@ import (
 // per signal per breakpoint + one goroutine spawned per group member
 // per edge.
 
+// boundExpr is one expression bound to simulator paths: a breakpoint's
+// enable or user condition and a watch at arm time, an evaluate request
+// per request.
+type boundExpr struct {
+	node expr.Node     // the tree the general evaluator walks
+	prog *expr.Program // nil: general evaluator only
+	// paths are the dependencies in prog.Deps order (the referenced
+	// names when there is no program); verified marks paths confirmed
+	// at bind time, and slots are their prefetch-cache slots (nil until
+	// rebuildDeps assigns them, -1 for an unconfirmed path).
+	paths    []string
+	verified []bool
+	slots    []int
+	byName   map[string]string // every referenced name, for the general evaluator
+}
+
+// bind resolves every name an expression references through resolve,
+// which returns the name's simulator path and whether that path was
+// confirmed. It is the one binder: enable conditions resolve
+// instance-local RTL names; user conditions, watches and evaluate
+// requests resolve source names through resolveSourceName.
+func bind(n expr.Node, prog *expr.Program, resolve func(name string) (string, bool)) *boundExpr {
+	names := expr.Names(n)
+	deps := names
+	if prog != nil {
+		deps = prog.Deps
+	}
+	b := &boundExpr{node: n, prog: prog, paths: make([]string, len(deps)),
+		verified: make([]bool, len(deps)), byName: make(map[string]string, len(names))}
+	for i, name := range deps {
+		b.paths[i], b.verified[i] = resolve(name)
+		b.byName[name] = b.paths[i]
+	}
+	// Names constant folding removed from the program can still be
+	// reached by the general evaluator, which walks the unfolded tree.
+	for _, name := range names {
+		if _, done := b.byName[name]; !done {
+			b.byName[name], _ = resolve(name)
+		}
+	}
+	return b
+}
+
+// bindSource parses, compiles and binds a condition; an empty source
+// binds to nil, an absent condition.
+func bindSource(src string, resolve func(name string) (string, bool)) (*boundExpr, error) {
+	if src == "" {
+		return nil, nil
+	}
+	n, prog, err := expr.ParseCompile(src)
+	if err != nil {
+		return nil, err
+	}
+	return bind(n, prog, resolve), nil
+}
+
 // resolveSourceName resolves a source-level identifier to a simulator
-// path using the same chain for breakpoint conditions and watchpoints:
-// breakpoint-scoped variable (when bpID >= 0) → generator/instance
-// variable → instance-local RTL name → absolute path as written. The
-// second return value reports whether the path was verified against the
-// symbol table or backend; an unverified name is returned as-is for the
-// caller to probe or defer to evaluation time.
-func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string, bool) {
-	if bpID >= 0 {
+// path: the breakpoint-scoped variable (bpID 0 means no scope; symbol
+// table ids start at 1) → generator/instance variable →
+// instance-local RTL name → the name as written, an absolute path.
+// The second return value reports whether the path was verified
+// against the symbol table or backend (probed through memo); an
+// unverified name is returned as-is for the caller to probe or read at
+// evaluation time.
+func (rt *Runtime) resolveSourceName(bpID int64, instance, name string, memo map[string]bool) (string, bool) {
+	if bpID != 0 {
 		if rtlPath, err := rt.table.ResolveScopedVar(bpID, name); err == nil {
 			return rt.remap.ToSim(rtlPath), true
 		}
@@ -35,14 +93,26 @@ func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string,
 	if full, ok := rt.generatorPath(instance, name); ok {
 		return full, true
 	}
-	local := rt.remap.ToSim(instance + "." + name)
-	// A four-state read error proves the signal exists; its value just
-	// routes through the general evaluator instead of the prefetch
-	// cache.
-	if _, err := rt.backend.GetValue(local); err == nil || errors.Is(err, vpi.ErrFourState) {
+	if local := rt.remap.ToSim(instance + "." + name); rt.exists(local, memo) {
 		return local, true
 	}
 	return name, false
+}
+
+// exists probes whether the backend exposes a signal, answering from
+// and recording into memo when it is not nil. A four-state read error
+// proves the signal exists; its value just routes through the general
+// evaluator instead of the prefetch cache.
+func (rt *Runtime) exists(path string, memo map[string]bool) bool {
+	if ok, done := memo[path]; done {
+		return ok
+	}
+	_, err := rt.backend.GetValue(path)
+	ok := err == nil || errors.Is(err, vpi.ErrFourState)
+	if memo != nil {
+		memo[path] = ok
+	}
+	return ok
 }
 
 // markDepsDirty schedules a dependency-union rebuild before the next
@@ -66,42 +136,44 @@ func (rt *Runtime) rebuildDeps() {
 		}
 		return s
 	}
-	// verified == nil means every path was confirmed at arm time; an
-	// unverified path gets slot -1 (kept out of the union, probed per
-	// evaluation) so it cannot fail the batched read for everyone else.
-	assign := func(paths []string, verified []bool) []int {
-		if len(paths) == 0 {
-			return nil
+	// An unverified path gets slot -1 (kept out of the union, probed
+	// per evaluation) so it cannot fail the batched read for everyone
+	// else.
+	assign := func(b *boundExpr) {
+		if b == nil {
+			return
 		}
-		slots := make([]int, len(paths))
-		for i, p := range paths {
-			if verified != nil && !verified[i] {
-				slots[i] = -1
-				continue
+		b.slots = nil
+		if len(b.paths) == 0 {
+			return
+		}
+		b.slots = make([]int, len(b.paths))
+		for i, p := range b.paths {
+			b.slots[i] = -1
+			if b.verified[i] {
+				b.slots[i] = slot(p)
 			}
-			slots[i] = slot(p)
 		}
-		return slots
 	}
 	// Rebuild the per-group armed-member counts alongside the slots:
 	// outside stepping, a group with none is never walked.
 	rt.groupArmed = make([]int, len(rt.allGroups))
 	for _, ibp := range rt.inserted {
-		ibp.enableSlots = assign(ibp.enablePaths, ibp.enableVerified)
-		ibp.condSlots = assign(ibp.condPaths, ibp.condVerified)
+		assign(ibp.enable)
+		assign(ibp.cond)
 		if gi, ok := rt.groupIdx[ibp.key()]; ok {
 			rt.groupArmed[gi]++
 		}
 	}
 	for _, w := range rt.watches {
-		w.slots = assign(w.paths, nil)
+		assign(w.bound)
 		w.canSkip = false
 	}
 	// Invert only after every slot is assigned — watch assignment above
 	// still extends the union.
 	rt.slotWatches = make([][]*Watchpoint, len(rt.depUnion))
 	for _, w := range rt.watches {
-		for _, s := range w.slots {
+		for _, s := range w.bound.slots {
 			rt.slotWatches[s] = append(rt.slotWatches[s], w)
 		}
 	}
@@ -274,35 +346,82 @@ func (rt *Runtime) invalidatePrefetch() {
 // prefetched cycle cache and falling back to a direct backend read for
 // dependencies outside the union (step-mode candidates) or failed
 // slots.
-func (rt *Runtime) fetchDep(paths []string, slots []int, i int) (eval.Value, error) {
-	if slots != nil {
+func (rt *Runtime) fetchDep(b *boundExpr, i int) (eval.Value, error) {
+	if b.slots != nil {
 		// The bounds check is defensive: slot assignments are rebuilt
 		// only before members are snapshotted, but a stale slot must
 		// degrade to a direct read, never an out-of-range panic.
-		if s := slots[i]; s >= 0 && s < len(rt.prefetchOK) && rt.prefetchOK[s] {
+		if s := b.slots[i]; s >= 0 && s < len(rt.prefetchOK) && rt.prefetchOK[s] {
 			return rt.prefetched[s], nil
 		}
 	}
-	return rt.backend.GetValue(paths[i])
+	return rt.backend.GetValue(b.paths[i])
 }
 
+// errGeneralOnly routes an expression to the general evaluator: it has
+// no compiled program, or SetGeneralEval is on.
+var errGeneralOnly = errors.New("core: general evaluator only")
+
 // execCompiled gathers a program's operands (cache-first) into the
-// runtime's scratch buffer and executes it on the runtime's machine. It
-// is the single evaluation path for breakpoint and watch conditions;
-// every caller runs on the simulation goroutine, one evaluation at a
+// runtime's scratch buffer and executes it on the runtime's machine.
+// Every caller runs on the simulation goroutine, one evaluation at a
 // time, so the shared scratch needs no locking.
-func (rt *Runtime) execCompiled(prog *expr.Program, paths []string, slots []int) (eval.Value, error) {
-	n := len(prog.Deps)
+func (rt *Runtime) execCompiled(b *boundExpr) (eval.Value, error) {
+	if b.prog == nil || rt.generalEval.Load() {
+		return eval.Value{}, errGeneralOnly
+	}
+	n := len(b.prog.Deps)
 	if cap(rt.opbuf) < n {
 		rt.opbuf = make([]eval.Value, n)
 	}
 	ops := rt.opbuf[:n]
 	for i := range ops {
-		v, err := rt.fetchDep(paths, slots, i)
+		v, err := rt.fetchDep(b, i)
 		if err != nil {
 			return eval.Value{}, err
 		}
 		ops[i] = v
 	}
-	return prog.Exec(&rt.machine, ops)
+	return b.prog.Exec(&rt.machine, ops)
+}
+
+// evalBits walks a bound expression with the general four-state
+// evaluator, reading every name through its bound path.
+func (rt *Runtime) evalBits(b *boundExpr) (val.Bits, error) {
+	return expr.EvalBits(b.node, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
+		return vpi.ReadBits(rt.backend, b.byName[name])
+	}))
+}
+
+// slotsReadable reports whether every dependency of a bound expression
+// sits in a currently-readable prefetch slot — the eligibility
+// condition for skipping it at clean edges.
+func (rt *Runtime) slotsReadable(b *boundExpr) bool {
+	if len(b.slots) != len(b.paths) {
+		return false // union rebuild pending; stay conservative
+	}
+	for _, s := range b.slots {
+		if s < 0 || s >= len(rt.prefetchOK) || !rt.prefetchOK[s] {
+			return false
+		}
+	}
+	return true
+}
+
+// fusable reports whether a bound expression can ride the fused
+// schedule: it is absent (nil), or it compiled and every dependency is
+// verified and slotted in the prefetch union.
+func (b *boundExpr) fusable() bool {
+	if b == nil {
+		return true
+	}
+	if b.prog == nil || len(b.slots) != len(b.prog.Deps) {
+		return false
+	}
+	for _, s := range b.slots {
+		if s < 0 {
+			return false
+		}
+	}
+	return true
 }

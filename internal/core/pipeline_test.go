@@ -58,23 +58,16 @@ func TestCompiledMatchesTreeWalk(t *testing.T) {
 
 // evalBPTree is the two-state tree-walk reference implementation of
 // evalBP, the oracle the compiled pipeline is differentially tested
-// against. It resolves names through the breakpoint's precomputed path
-// map, falling back to instance-local RTL names.
+// against. It resolves every name through its condition's bound path
+// map.
 func (rt *Runtime) evalBPTree(ibp *insertedBP) bool {
-	resolver := expr.ResolverFunc(func(name string) (eval.Value, error) {
-		if full, ok := ibp.paths[name]; ok {
-			return rt.backend.GetValue(full)
+	for _, b := range []*boundExpr{ibp.enable, ibp.cond} {
+		if b == nil {
+			continue
 		}
-		return rt.backend.GetValue(rt.remap.ToSim(ibp.bp.InstanceName + "." + name))
-	})
-	if ibp.enable != nil {
-		v, err := ibp.enable.Eval(resolver)
-		if err != nil || !v.IsTrue() {
-			return false
-		}
-	}
-	if ibp.cond != nil {
-		v, err := ibp.cond.Eval(resolver)
+		v, err := b.node.Eval(expr.ResolverFunc(func(name string) (eval.Value, error) {
+			return rt.backend.GetValue(b.byName[name])
+		}))
 		if err != nil || !v.IsTrue() {
 			return false
 		}
@@ -350,12 +343,12 @@ func TestWatchAndBreakpointResolveIdentically(t *testing.T) {
 	defer rt.mu.Unlock()
 	var bpPath string
 	for _, ibp := range rt.inserted {
-		if len(ibp.condPaths) == 1 {
-			bpPath = ibp.condPaths[0]
+		if ibp.cond != nil && len(ibp.cond.paths) == 1 {
+			bpPath = ibp.cond.paths[0]
 		}
 	}
 	w := rt.watches[0]
-	if len(w.paths) != 1 || bpPath == "" || w.paths[0] != bpPath {
-		t.Fatalf("watch path %v != breakpoint path %q", w.paths, bpPath)
+	if len(w.bound.paths) != 1 || bpPath == "" || w.bound.paths[0] != bpPath {
+		t.Fatalf("watch path %v != breakpoint path %q", w.bound.paths, bpPath)
 	}
 }

@@ -17,7 +17,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -206,31 +205,13 @@ type StopEvent struct {
 // the clock callback while the user inspects state.
 type Handler func(*StopEvent) Command
 
-// insertedBP is one armed emulated breakpoint.
+// insertedBP is one armed emulated breakpoint: the symtab row and its
+// conditions bound at insertion time — the SSA enable condition, in
+// instance-local RTL names, and the user condition, in source names
+// scoped to the breakpoint. nil means the condition is absent.
 type insertedBP struct {
-	bp     symtab.Breakpoint
-	enable expr.Node // nil = always enabled; parsed form
-	cond   expr.Node // user condition; nil = none; parsed form
-	// paths precomputes name → full simulator path for every identifier
-	// the conditions reference, for the general evaluator's resolver.
-	paths map[string]string
-
-	// Compiled pipeline state: the conditions lowered to register
-	// programs at insertion time, their dependency paths aligned with
-	// each program's Deps order, and the dependencies' slots in the
-	// runtime's per-cycle prefetch cache (-1/nil when not prefetched).
-	enableProg  *expr.Program
-	condProg    *expr.Program
-	enablePaths []string
-	condPaths   []string
-	enableSlots []int
-	condSlots   []int
-	// The verified flags mark dependencies whose path resolution was
-	// confirmed against the backend at arm time; unverified names stay
-	// out of the batched prefetch union so one bad name cannot fail
-	// the whole batch, and are probed per evaluation instead.
-	enableVerified []bool
-	condVerified   []bool
+	bp           symtab.Breakpoint
+	enable, cond *boundExpr
 }
 
 // group is a set of breakpoints sharing one source statement; the
@@ -473,121 +454,35 @@ func (ibp *insertedBP) key() groupKey {
 	return groupKey{file: ibp.bp.Filename, line: ibp.bp.Line, ordinal: ibp.bp.Order}
 }
 
-// generalOnly reports whether any of the breakpoint's conditions parsed
-// but did not compile (four-state literals, wide constants): such a
-// member evaluates exclusively through the general four-state
-// evaluator, its dependencies stay out of the prefetch union, and it
-// stays out of the fused schedule, so it is evaluated at every edge.
-func (ibp *insertedBP) generalOnly() bool {
-	return (ibp.enable != nil && ibp.enableProg == nil) ||
-		(ibp.cond != nil && ibp.condProg == nil)
-}
-
-// prepare parses and compiles the enable and user conditions of a
-// breakpoint, then resolves every dependency to its simulator path —
-// the compile-once half of the pipeline; per-cycle evaluation only
-// executes the compiled programs.
+// prepare parses, compiles and binds the enable and user conditions
+// of a breakpoint — the compile-once half of the pipeline; per-cycle
+// evaluation only executes the compiled programs. ParseCompile shares
+// one immutable (AST, program) pair across the N instances of a
+// generated statement, and across re-arms.
 func (rt *Runtime) prepare(bp symtab.Breakpoint, userCond string) (*insertedBP, error) {
-	ibp := &insertedBP{bp: bp}
-	if bp.Enable != "" {
-		// ParseCompile shares one immutable (AST, program) pair across
-		// the N instances of a generated statement — and across re-arms —
-		// instead of recompiling the identical source N times.
-		n, p, err := expr.ParseCompile(bp.Enable)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad enable condition %q: %w", bp.Enable, err)
-		}
-		ibp.enable, ibp.enableProg = n, p
+	inst := bp.InstanceName
+	var probed map[string]bool
+	if bp.Enable != "" && userCond != "" {
+		// Both conditions probe through one memo, so a signal they
+		// share costs one backend read.
+		probed = map[string]bool{}
 	}
-	if userCond != "" {
-		n, p, err := expr.ParseCompile(userCond)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad breakpoint condition %q: %w", userCond, err)
-		}
-		ibp.cond, ibp.condProg = n, p
+	enable, err := bindSource(bp.Enable, func(name string) (string, bool) {
+		// Probe each mapped path so a signal the backend does not
+		// expose (e.g. optimized away) stays out of the batch union.
+		p := rt.remap.ToSim(inst + "." + name)
+		return p, rt.exists(p, probed)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: bad enable condition %q: %w", bp.Enable, err)
 	}
-	rt.precomputePaths(ibp)
-	return ibp, nil
-}
-
-// precomputePaths resolves every identifier in the breakpoint's
-// compiled conditions to its full simulator path once, at arm time.
-// The dependency lists come from the compiled programs (constant
-// folding may eliminate references the raw AST still mentions).
-func (rt *Runtime) precomputePaths(ibp *insertedBP) {
-	ibp.paths = map[string]string{}
-	inst := ibp.bp.InstanceName
-	if ibp.enableProg != nil {
-		// Enable conditions speak in instance-local RTL names. Probe
-		// each mapped path so a signal the backend does not expose
-		// (e.g. optimized away) stays out of the batch union.
-		ibp.enablePaths = make([]string, len(ibp.enableProg.Deps))
-		ibp.enableVerified = make([]bool, len(ibp.enableProg.Deps))
-		for i, n := range ibp.enableProg.Deps {
-			p := rt.remap.ToSim(inst + "." + n)
-			ibp.paths[n] = p
-			ibp.enablePaths[i] = p
-			// A four-state read error still proves the signal exists —
-			// its value just needs the general evaluator, which the
-			// per-slot prefetch failure routes to.
-			_, err := rt.backend.GetValue(p)
-			ibp.enableVerified[i] = err == nil || errors.Is(err, vpi.ErrFourState)
-		}
+	cond, err := bindSource(userCond, func(name string) (string, bool) {
+		return rt.resolveSourceName(bp.ID, inst, name, probed)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: bad breakpoint condition %q: %w", userCond, err)
 	}
-	if ibp.condProg != nil {
-		// User conditions speak in source-level names; resolve with the
-		// shared scope → generator → local-RTL → absolute chain
-		// (watchpoints use the identical chain, see AddWatch).
-		ibp.condPaths = make([]string, len(ibp.condProg.Deps))
-		ibp.condVerified = make([]bool, len(ibp.condProg.Deps))
-		for i, n := range ibp.condProg.Deps {
-			if p, done := ibp.paths[n]; done {
-				// Shared with the enable condition: inherit its
-				// verification result.
-				ibp.condPaths[i] = p
-				ibp.condVerified[i] = verifiedIn(ibp.enableProg, ibp.enableVerified, n)
-				continue
-			}
-			// Unverified names stay as written and are probed as
-			// absolute paths at evaluation time.
-			p, ok := rt.resolveSourceName(ibp.bp.ID, inst, n)
-			ibp.paths[n] = p
-			ibp.condPaths[i] = p
-			ibp.condVerified[i] = ok
-		}
-	}
-	// Conditions without a compiled program (general-evaluator-only:
-	// four-state literals, wide constants) still get their names
-	// resolved through the same chains, so the EvalBits resolver sees
-	// the paths the compiled pipeline would have used.
-	if ibp.enable != nil && ibp.enableProg == nil {
-		for _, n := range expr.Names(ibp.enable) {
-			if _, done := ibp.paths[n]; !done {
-				ibp.paths[n] = rt.remap.ToSim(inst + "." + n)
-			}
-		}
-	}
-	if ibp.cond != nil && ibp.condProg == nil {
-		for _, n := range expr.Names(ibp.cond) {
-			if _, done := ibp.paths[n]; !done {
-				p, _ := rt.resolveSourceName(ibp.bp.ID, inst, n)
-				ibp.paths[n] = p
-			}
-		}
-	}
-}
-
-// verifiedIn reports whether name is a verified dependency of prog.
-func verifiedIn(prog *expr.Program, verified []bool, name string) bool {
-	if prog == nil {
-		return false
-	}
-	for i, d := range prog.Deps {
-		if d == name {
-			return verified[i]
-		}
-	}
-	return false
+	return &insertedBP{bp: bp, enable: enable, cond: cond}, nil
 }
 
 // SetHandler installs the stop handler. Without a handler, hits

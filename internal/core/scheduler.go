@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/expr"
-	"repro/internal/val"
-)
+import "repro/internal/val"
 
 // onEdge is the clock-edge callback: the entire Figure 2 scheduling
 // loop. The first check is the fast path the paper's overhead argument
@@ -221,45 +218,19 @@ func (rt *Runtime) evaluateGroup(g *group, stepping bool, t uint64) []*insertedB
 // hits only when its conditions are definitely true (x is not a hit,
 // matching Verilog's `if`).
 func (rt *Runtime) evalBP(ibp *insertedBP) bool {
-	if rt.generalEval.Load() {
-		return rt.evalBPBits(ibp)
-	}
-	return rt.condTrue(ibp, ibp.enable, ibp.enableProg, ibp.enablePaths, ibp.enableSlots) &&
-		rt.condTrue(ibp, ibp.cond, ibp.condProg, ibp.condPaths, ibp.condSlots)
+	return rt.condTrue(ibp.enable) && rt.condTrue(ibp.cond)
 }
 
 // condTrue evaluates one of a breakpoint's conditions (nil = absent,
 // always true): the compiled program first, the general evaluator when
 // the program is missing or fails.
-func (rt *Runtime) condTrue(ibp *insertedBP, n expr.Node, prog *expr.Program, paths []string, slots []int) bool {
-	if n == nil {
+func (rt *Runtime) condTrue(b *boundExpr) bool {
+	if b == nil {
 		return true
 	}
-	if prog != nil {
-		if v, err := rt.execCompiled(prog, paths, slots); err == nil {
-			return v.IsTrue()
-		}
+	if v, err := rt.execCompiled(b); err == nil {
+		return v.IsTrue()
 	}
-	return rt.condTruthBits(ibp, n)
-}
-
-// condTruthBits evaluates one condition tree with the general
-// four-state evaluator and reports whether it is definitely true.
-func (rt *Runtime) condTruthBits(ibp *insertedBP, n expr.Node) bool {
-	b, err := expr.EvalBits(n, ibp.pathBitsResolver(rt))
-	return err == nil && b.Truth() == val.True
-}
-
-// evalBPBits is the all-general form of evalBP: both conditions walked
-// by the four-state evaluator, hits requiring definite truth. It is
-// the SetGeneralEval baseline the compiled pipeline is differentially
-// pinned against.
-func (rt *Runtime) evalBPBits(ibp *insertedBP) bool {
-	if ibp.enable != nil && !rt.condTruthBits(ibp, ibp.enable) {
-		return false
-	}
-	if ibp.cond != nil && !rt.condTruthBits(ibp, ibp.cond) {
-		return false
-	}
-	return true
+	v, err := rt.evalBits(b)
+	return err == nil && v.Truth() == val.True
 }

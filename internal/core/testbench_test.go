@@ -122,7 +122,7 @@ func TestDebugInsideForeignTestbench(t *testing.T) {
 		t.Fatalf("conditional stop values = %v, want [2]", stopVals)
 	}
 	// Watch expressions resolve through the remap too.
-	v, err := rt.EvaluateBits("Filter", "accum")
+	v, err := rt.EvaluateBits(0, "Filter", "accum")
 	if err != nil {
 		t.Fatalf("EvaluateBits through remap: %v", err)
 	}

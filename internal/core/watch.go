@@ -1,12 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/expr"
 	"repro/internal/val"
-	"repro/internal/vpi"
 )
 
 // Watchpoint is a data breakpoint: the simulation stops when the
@@ -21,14 +19,8 @@ type Watchpoint struct {
 	// Expr is the watched expression source.
 	Expr string
 
-	node expr.Node // parsed form, walked by the general evaluator
-	// Compiled pipeline state, mirroring insertedBP: the expression as
-	// a register program, its dependency paths in prog.Deps order, and
-	// the dependencies' prefetch-cache slots.
-	prog   *expr.Program
-	paths  []string
-	pathOf map[string]string // name → sim path, for the general evaluator
-	slots  []int
+	// bound is the expression bound to simulator paths at add time.
+	bound *boundExpr
 
 	// last is the previous value in the four-state plane; two-state
 	// results are lifted into it so the change compare is uniform
@@ -51,42 +43,28 @@ type Watchpoint struct {
 
 // AddWatch registers a watchpoint on an expression evaluated in an
 // instance context; it stops on any value change. The expression is
-// compiled once here and its dependencies resolve through the same
-// chain breakpoint conditions use (resolveSourceName), so watchpoints
+// compiled once here and bound through the chain breakpoint conditions
+// use (resolveSourceName, with no breakpoint scope), so watchpoints
 // and breakpoints see identical names.
 func (rt *Runtime) AddWatch(instance, source string) (int, error) {
 	n, prog, err := expr.ParseCompile(source)
 	if err != nil {
 		return 0, err
 	}
-	// A nil program means the expression only runs on the general
-	// four-state evaluator; its dependencies come from the AST instead.
-	deps := expr.Names(n)
-	if prog != nil {
-		deps = prog.Deps
-	}
-	w := &Watchpoint{
-		Instance: instance,
-		Expr:     source,
-		node:     n,
-		prog:     prog,
-		paths:    make([]string, len(deps)),
-		pathOf:   make(map[string]string, len(deps)),
-		fusedID:  -1,
-	}
-	for i, name := range deps {
-		path, verified := rt.resolveSourceName(-1, instance, name)
-		if !verified {
-			// Unlike a deferred breakpoint condition, a watch must
-			// resolve at add time: probe the absolute path now. A
-			// four-state read error still proves the signal exists.
-			if _, err := rt.backend.GetValue(path); err != nil && !errors.Is(err, vpi.ErrFourState) {
-				return 0, fmt.Errorf("core: watch: cannot resolve %q in %s", name, instance)
-			}
+	unresolved := ""
+	bound := bind(n, prog, func(name string) (string, bool) {
+		path, verified := rt.resolveSourceName(0, instance, name, nil)
+		// Unlike a deferred breakpoint condition, a watch must resolve
+		// at add time: probe the absolute path now.
+		if !verified && !rt.exists(path, nil) && unresolved == "" {
+			unresolved = name
 		}
-		w.paths[i] = path
-		w.pathOf[name] = path
+		return path, true
+	})
+	if unresolved != "" {
+		return 0, fmt.Errorf("core: watch: cannot resolve %q in %s", unresolved, instance)
 	}
+	w := &Watchpoint{Instance: instance, Expr: source, bound: bound, fusedID: -1}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.nextWatch++
@@ -119,40 +97,6 @@ func (rt *Runtime) Watches() []*Watchpoint {
 	return out
 }
 
-// eval executes the compiled watch program against the per-cycle
-// prefetch cache; when there is no program, or it fails (an operand
-// that cannot be fetched, x/z bits, >64-bit signals), the general
-// four-state evaluator is the authority — the same chain as evalBP.
-// Watches run on the simulation goroutine only.
-func (w *Watchpoint) eval(rt *Runtime) (val.Bits, error) {
-	if w.prog != nil && !rt.generalEval.Load() {
-		if v, err := rt.execCompiled(w.prog, w.paths, w.slots); err == nil {
-			return v.ToBits(), nil
-		}
-	}
-	return expr.EvalBits(w.node, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		if full, ok := w.pathOf[name]; ok {
-			return vpi.ReadBits(rt.backend, full)
-		}
-		return val.Bits{}, fmt.Errorf("core: watch: unresolved %q", name)
-	}))
-}
-
-// watchSlotsOK reports whether every dependency of the watch sits in a
-// currently-readable prefetch slot — the eligibility condition for
-// skipping it at clean edges.
-func (rt *Runtime) watchSlotsOK(w *Watchpoint) bool {
-	if len(w.slots) != len(w.paths) {
-		return false // union rebuild pending; stay conservative
-	}
-	for _, s := range w.slots {
-		if s < 0 || s >= len(rt.prefetchOK) || !rt.prefetchOK[s] {
-			return false
-		}
-	}
-	return true
-}
-
 // checkWatches runs at each clock edge before the breakpoint schedule;
 // it returns a stop event when any watched value changed.
 func (rt *Runtime) checkWatches(time uint64) *StopEvent {
@@ -183,17 +127,21 @@ func (rt *Runtime) checkWatches(time uint64) *StopEvent {
 		}
 		var b val.Bits
 		var err error
+		// The fused result, else the compiled program, else (no program,
+		// or it failed) the general evaluator — the chain evalBP uses.
 		if fs != nil && w.fusedID >= 0 && fs.resOK[w.fusedID] {
 			b = fs.results[w.fusedID].ToBits()
+		} else if v, cerr := rt.execCompiled(w.bound); cerr == nil {
+			b = v.ToBits()
 		} else {
-			b, err = w.eval(rt)
+			b, err = rt.evalBits(w.bound)
 		}
 		if err != nil {
 			w.canSkip = false
 			continue
 		}
 		if delta {
-			w.canSkip = rt.watchSlotsOK(w)
+			w.canSkip = rt.slotsReadable(w.bound)
 		}
 		if !w.armed {
 			w.armed = true

@@ -52,7 +52,8 @@ type Options struct {
 //	                    instance
 //	scopes/variables  → Locals + Generator variables through the
 //	                    variablesReference handle table
-//	evaluate          → the runtime's compiled-expression Evaluate
+//	evaluate          → the runtime's four-state evaluate, scoped to
+//	                    the frame's stopped breakpoint
 //	continue/next     → continue / step commands
 //	pause             → interrupt at the next statement
 //	stepBack          → reverse-step (replay backends only)
@@ -695,22 +696,30 @@ func (a *Adapter) onEvaluate(req *Message) (any, error) {
 	if err := json.Unmarshal(req.Arguments, &args); err != nil {
 		return nil, fmt.Errorf("bad evaluate arguments: %v", err)
 	}
-	instance := ""
+	// A frame is one stopped thread: its breakpoint scopes the names,
+	// so a source name reads what the frame shows. A thread that did
+	// not hit this stop evaluates unscoped in its instance.
+	instance, bpID := "", int64(0)
 	if args.FrameID > 0 {
 		if inst, ok := a.instanceByID(args.FrameID); ok {
 			instance = inst
+			a.mu.Lock()
+			if th := a.stoppedThreadLocked(inst); th != nil {
+				bpID = th.BreakpointID
+			}
+			a.mu.Unlock()
 		}
 	}
 	if instance == "" {
 		a.mu.Lock()
 		if a.stopped && a.lastStop != nil && len(a.lastStop.Threads) > 0 {
-			instance = a.lastStop.Threads[0].Instance
+			instance, bpID = a.lastStop.Threads[0].Instance, a.lastStop.Threads[0].BreakpointID
 		} else {
 			instance = a.top
 		}
 		a.mu.Unlock()
 	}
-	v, err := a.cl.Evaluate(instance, args.Expression)
+	v, err := a.cl.EvaluateAt(bpID, instance, args.Expression)
 	if err != nil {
 		return nil, err
 	}

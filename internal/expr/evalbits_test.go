@@ -219,3 +219,60 @@ func TestEvalBitsMatchesTwoState(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEvalBitsMatchesCompiled is the evaluator differential: for a
+// fuzz-chosen expression that compiles, the compiled program and the
+// general four-state evaluator, given the same fully known operands of
+// at most 64 bits, agree on value and width, or both fail. The general
+// evaluator decides every evaluate request and every failed compiled
+// run, so any disagreement is a wrong answer. Operands are unsigned:
+// val.Bits carries no signedness, so a signed operand has no general
+// counterpart to compare against.
+func FuzzEvalBitsMatchesCompiled(f *testing.F) {
+	for i, p := range fuzzSeedPairs {
+		f.Add(p[0], uint64(2*i+1))
+		f.Add(p[1], uint64(2*i+2))
+	}
+	f.Fuzz(func(t *testing.T, src string, seed uint64) {
+		if len(src) > 256 {
+			return
+		}
+		n, err := Parse(src)
+		if err != nil {
+			return
+		}
+		p, err := Compile(n)
+		if err != nil {
+			return
+		}
+		next := xorshift(seed)
+		var m eval.Machine
+		for env := 0; env < 2; env++ {
+			ops := make([]eval.Value, len(p.Deps))
+			byName := map[string]val.Bits{}
+			for i, d := range p.Deps {
+				ops[i] = fuzzOperand(next, false)
+				byName[d] = ops[i].ToBits()
+			}
+			// Names constant folding dropped from the program are still
+			// in the tree the general evaluator walks.
+			for _, d := range Names(n) {
+				if _, ok := byName[d]; !ok {
+					byName[d] = fuzzOperand(next, false).ToBits()
+				}
+			}
+			want, errC := p.Exec(&m, ops)
+			got, errG := EvalBits(n, bitsEnv(byName))
+			if (errC != nil) != (errG != nil) {
+				t.Fatalf("%q over %v: compiled error %v, general error %v", src, byName, errC, errG)
+			}
+			if errC != nil {
+				continue
+			}
+			if w := want.ToBits(); got.Width != w.Width || !got.CaseEq(w) {
+				t.Fatalf("%q over %v: general %s (width %d), compiled %s (width %d)",
+					src, byName, got, got.Width, want, want.Width)
+			}
+		}
+	})
+}

@@ -144,21 +144,43 @@ func TestFuseDifferential(t *testing.T) {
 	}
 }
 
+// fuzzSeedPairs seed the expression fuzzers: condition pairs covering
+// hoistable common enables, guarded-only sharing, ternaries, slices,
+// division, sized literals and case equality. Two-state sized forms
+// compile (and fuse); four-state and >64-bit literals bail at Compile,
+// seeding the parser side of the corpus.
+var fuzzSeedPairs = [][2]string{
+	{"(x + y) > 3", "(x + y) < 9"},
+	{"a == 0 && (b << a) > 1", "a == 1 && (b << a) > 1"},
+	{"en ? cnt == 5 : cnt == 9", "en && cnt[3:0] != 2"},
+	{"a % b == 0", "a / b > 1"},
+	{"x === 16'hdead", "x !== 16'hbeef && x > 0"},
+	{"a === 8'b1x0z", "a == 130'h3deadbeefcafebabe0123456789abcdef0"},
+}
+
+// xorshift is the fuzzers' operand generator, seeded by the fuzz input.
+func xorshift(seed uint64) func() uint64 {
+	return func() uint64 {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return seed
+	}
+}
+
+// fuzzOperand draws one operand: any value, width 1–64, signed half of
+// the time when signedOK.
+func fuzzOperand(next func() uint64, signedOK bool) eval.Value {
+	return eval.Make(next(), 1+int(next()%64), next()%2 == 0 && signedOK)
+}
+
 // FuzzFuse is the coverage-guided version of TestFuseDifferential: two
 // fuzz-chosen condition sources (shared slot pool, so common structure
-// fuses) against the per-condition reference. The corpus seeds cover
-// the interesting shapes — hoistable common enables, guarded-only
-// sharing, ternaries, slices.
+// fuses) against the per-condition reference.
 func FuzzFuse(f *testing.F) {
-	f.Add("(x + y) > 3", "(x + y) < 9", uint64(1))
-	f.Add("a == 0 && (b << a) > 1", "a == 1 && (b << a) > 1", uint64(2))
-	f.Add("en ? cnt == 5 : cnt == 9", "en && cnt[3:0] != 2", uint64(3))
-	f.Add("a % b == 0", "a / b > 1", uint64(4))
-	// Sized literals and case equality: two-state sized forms compile
-	// (and fuse); four-state / >64-bit literals bail at Compile, seeding
-	// the parser side of the corpus.
-	f.Add("x === 16'hdead", "x !== 16'hbeef && x > 0", uint64(5))
-	f.Add("a === 8'b1x0z", "a == 130'h3deadbeefcafebabe0123456789abcdef0", uint64(6))
+	for i, p := range fuzzSeedPairs {
+		f.Add(p[0], p[1], uint64(i+1))
+	}
 	f.Fuzz(func(t *testing.T, src1, src2 string, seed uint64) {
 		if len(src1) > 256 || len(src2) > 256 {
 			return
@@ -188,17 +210,11 @@ func FuzzFuse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fuse: %v", err)
 		}
-		rng := seed
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
+		next := xorshift(seed)
 		for env := 0; env < 2; env++ {
 			slotVals := make([]eval.Value, numSlots)
 			for s := range slotVals {
-				slotVals[s] = eval.Make(next(), 1+int(next()%64), next()%2 == 0)
+				slotVals[s] = fuzzOperand(next, true)
 			}
 			results, ok := fuseExec(fs, slotVals)
 			var m eval.Machine

@@ -23,6 +23,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"type":"command","command":"reverse-step","token":"6"}`,
 		`{"type":"command","command":"pause","token":"7"}`,
 		`{"type":"evaluate","instance":"Counter","expression":"count + 10","token":"8"}`,
+		`{"type":"evaluate","instance":"Counter","expression":"count","breakpoint_id":3,"token":"8"}`,
+		`{"type":"evaluate","expression":"loadVal","breakpoint_id":76,"token":"8"}`,
+		`{"type":"evaluate","instance":"Counter","expression":"count","breakpoint_id":0,"token":"8"}`,
+		`{"type":"evaluate","instance":"Counter","expression":"count","breakpoint_id":-1,"token":"8"}`,
+		`{"type":"evaluate","instance":"Counter","expression":"count","breakpoint_id":9223372036854775807,"token":"8"}`,
+		`{"type":"evaluate","expression":"count","breakpoint_id":9223372036854775808,"token":"8"}`,
 		`{"type":"get-value","path":"Counter.count","token":"9"}`,
 		`{"type":"set-value","path":"Counter.en","value":1,"token":"10"}`,
 		`{"type":"info","topic":"status","token":"11"}`,

@@ -33,9 +33,14 @@ type Request struct {
 	// command field: continue | step | reverse-step | detach | pause
 	Command string `json:"command,omitempty"`
 
-	// evaluate fields
-	Instance   string `json:"instance,omitempty"`
-	Expression string `json:"expression,omitempty"`
+	// evaluate fields. BreakpointID scopes evaluate's names to a
+	// stopped breakpoint (a stop thread's breakpoint_id), so a source
+	// name reads what that thread's frame shows; 0 means no scope (a
+	// mid-run query). With an id, an empty Instance takes the
+	// breakpoint's own.
+	Instance     string `json:"instance,omitempty"`
+	Expression   string `json:"expression,omitempty"`
+	BreakpointID int64  `json:"breakpoint_id,omitempty"`
 
 	// value fields
 	Path  string `json:"path,omitempty"`

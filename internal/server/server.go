@@ -551,11 +551,26 @@ func (s *Server) dispatch(sess *Session, req *proto.Request) *proto.Response {
 	case "command":
 		return s.handleCommand(sess, req)
 	case "evaluate":
+		instance := req.Instance
+		if id := req.BreakpointID; id != 0 {
+			// The scope must name a real breakpoint of the requested
+			// instance; the symbol table is read-only, so this runs on
+			// the reader goroutine.
+			bp, ok := s.rt.Table().Breakpoint(id)
+			if !ok {
+				return proto.Error(req.Token, "unknown breakpoint %d", id)
+			}
+			if instance == "" {
+				instance = bp.InstanceName
+			} else if instance != bp.InstanceName {
+				return proto.Error(req.Token, "breakpoint %d is in instance %s, not %s", id, bp.InstanceName, instance)
+			}
+		}
 		return s.runQuery(req.Token, func() *proto.Response {
 			// Four-state evaluation: identical to the two-state result on
 			// fully known designs, and renders x/z and >64-bit values
 			// instead of erroring.
-			b, err := s.rt.EvaluateBits(req.Instance, req.Expression)
+			b, err := s.rt.EvaluateBits(req.BreakpointID, instance, req.Expression)
 			if err != nil {
 				return proto.Error(req.Token, "%v", err)
 			}

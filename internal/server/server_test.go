@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -321,4 +323,38 @@ func TestWatchOverProtocol(t *testing.T) {
 	if err := cl.RemoveWatch(id); err == nil {
 		t.Fatal("double remove accepted")
 	}
+}
+
+// TestEvaluateBreakpointScope checks evaluate's breakpoint_id at the
+// edge: an id the symbol table does not know, or one of another
+// instance than the request names, is rejected before it reaches the
+// runtime; a valid id with no instance takes the breakpoint's own.
+func TestEvaluateBreakpointScope(t *testing.T) {
+	addr, _, incLine, srv := startServerFull(t)
+	cl := dialClient(t, addr)
+	bps := srv.rt.Table().BreakpointsAt("server_test.go", incLine)
+	if len(bps) != 1 {
+		t.Fatalf("breakpoints at line %d = %+v", incLine, bps)
+	}
+	id := bps[0].ID
+	t.Run("unknown-id", func(t *testing.T) {
+		for _, bad := range []int64{id + 1000, -1, math.MaxInt64} {
+			if v, err := cl.EvaluateAt(bad, "Counter", "count"); err == nil || !strings.Contains(err.Error(), "unknown breakpoint") {
+				t.Errorf("breakpoint_id %d: got %+v, %v; want an unknown-breakpoint error", bad, v, err)
+			}
+		}
+	})
+	t.Run("instance-mismatch", func(t *testing.T) {
+		if v, err := cl.EvaluateAt(id, "Other", "count"); err == nil || !strings.Contains(err.Error(), "not Other") {
+			t.Errorf("got %+v, %v; want a rejection", v, err)
+		}
+	})
+	t.Run("breakpoint-instance", func(t *testing.T) {
+		for _, instance := range []string{"", "Counter"} {
+			v, err := cl.EvaluateAt(id, instance, "count + 10")
+			if err != nil || v.Value != 10 {
+				t.Errorf("breakpoint %d in %q: got %+v, %v; want 10", id, instance, v, err)
+			}
+		}
+	})
 }

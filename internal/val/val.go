@@ -134,16 +134,33 @@ func FromWords(words []uint64, width int) Bits {
 }
 
 // FromPlanes returns a value of the given width from raw value- and
-// X-plane words (word 0 first). xwords may be nil for a known value.
+// X-plane words (word 0 first); missing words are zero, and xwords may
+// be nil for a known value. Wide values take one allocation holding
+// both high planes.
 func FromPlanes(vwords, xwords []uint64, width int) Bits {
-	b := FromWords(vwords, width)
+	if width < 1 {
+		width = 1
+	}
+	b := Bits{Width: width}
+	if len(vwords) > 0 {
+		b.V0 = vwords[0]
+	}
 	if len(xwords) > 0 {
 		b.X0 = xwords[0]
-		for i := 1; i < b.Words() && i < len(xwords); i++ {
-			b.XH[i-1] = xwords[i]
-		}
-		b.maskTo()
 	}
+	if k := b.Words() - 1; k > 0 {
+		hi := make([]uint64, 2*k)
+		b.VH, b.XH = hi[:k:k], hi[k:]
+		for i := 0; i < k; i++ {
+			if i+1 < len(vwords) {
+				b.VH[i] = vwords[i+1]
+			}
+			if i+1 < len(xwords) {
+				b.XH[i] = xwords[i+1]
+			}
+		}
+	}
+	b.maskTo()
 	return b
 }
 

@@ -1,6 +1,9 @@
 package val
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestParseVCDNarrow(t *testing.T) {
 	b, err := ParseVCD("1x0z", 4)
@@ -256,5 +259,52 @@ func TestResizeMasks(t *testing.T) {
 	w := FromUint64(^uint64(0), 64).Resize(128)
 	if w.Word(0) != ^uint64(0) || w.Word(1) != 0 || w.HasX() {
 		t.Fatalf("resize up: %+v", w)
+	}
+}
+
+// fromPlanesRef is FromPlanes as first written: the value plane through
+// FromWords, then the X plane copied and masked in a second pass.
+func fromPlanesRef(vwords, xwords []uint64, width int) Bits {
+	b := FromWords(vwords, width)
+	if len(xwords) > 0 {
+		b.X0 = xwords[0]
+		for i := 1; i < b.Words() && i < len(xwords); i++ {
+			b.XH[i-1] = xwords[i]
+		}
+		b.maskTo()
+	}
+	return b
+}
+
+// TestFromPlanesWidths pins the one-pass FromPlanes against the
+// two-pass construction at word-boundary widths, with value and X
+// slices shorter than, as long as, and longer than the width needs,
+// and a nil X plane.
+func TestFromPlanesWidths(t *testing.T) {
+	words := func(n int, seed uint64) []uint64 {
+		if n < 0 {
+			return nil
+		}
+		w := make([]uint64, n)
+		for i := range w {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			w[i] = seed
+		}
+		return w
+	}
+	for _, width := range []int{1, 63, 64, 65, 128, 200} {
+		need := (width + 63) / 64
+		for _, vn := range []int{-1, 0, 1, need, need + 2} {
+			for _, xn := range []int{-1, 0, 1, need, need + 2} {
+				v, x := words(vn, uint64(width)), words(xn, uint64(width)*31)
+				got, want := FromPlanes(v, x, width), fromPlanesRef(v, x, width)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("width %d, %d value / %d x words: got %+v, want %+v", width, vn, xn, got, want)
+				}
+				if got.Width > 64 && (cap(got.VH) != len(got.VH) || len(got.VH) != len(got.XH)) {
+					t.Errorf("width %d: high planes %d/%d (cap %d) share storage unsafely", width, len(got.VH), len(got.XH), cap(got.VH))
+				}
+			}
+		}
 	}
 }
